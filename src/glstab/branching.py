@@ -18,7 +18,7 @@ from math import factorial, prod
 
 from . import partitions as pt
 from .degrees import cuspidal_count, degree_poly, gl_order, prime_power
-from .errors import BadParameters, SizeMismatch
+from .errors import BadParameters, InvariantViolated, SizeMismatch
 from .labels import (
     IOTA,
     Label,
@@ -76,6 +76,11 @@ def _column_multisets(budget):
     return tuple(out)
 
 
+def _pool(degree, q):
+    """Cuspidals of the given degree that a non-iota key may take at q."""
+    return cuspidal_count(degree, q) - (1 if degree == 1 else 0)
+
+
 class _Ctx:
     """Per-invocation transition tables for one (q, pinned support) setting."""
 
@@ -83,6 +88,11 @@ class _Ctx:
         self.q = q
         self.named_context = tuple(sorted(named_context))
         self.named_by_degree = Counter(key_degree(k) for k in self.named_context)
+        for d, used in self.named_by_degree.items():
+            if used > _pool(d, q):
+                raise BadParameters(
+                    f"labels need {used} distinct degree-{d} cuspidals; q={q} has {_pool(d, q)}"
+                )
         self._down_memo = {}
         self._up_memo = {}
 
@@ -113,10 +123,8 @@ class _Ctx:
         return out
 
     def _avail(self, degree, active_anon):
-        pool = cuspidal_count(degree, self.q)
         return (
-            pool
-            - (1 if degree == 1 else 0)
+            _pool(degree, self.q)
             - self.named_by_degree.get(degree, 0)
             - active_anon.get(degree, 0)
         )
@@ -258,8 +266,6 @@ def count_zigzag(nu: Label, mu: Label, m: int, q: int) -> int:
             f"norm difference {mu.norm() - nu.norm()} != step count {m}"
         )
     nu_p, mu_p = _pin_anonymous(nu), _pin_anonymous(mu)
-    if m == 0:
-        return 1 if nu_p == mu_p else 0
     context = {k for k in nu_p.support() if k[0] == "named"}
     context |= {k for k in mu_p.support() if k[0] == "named"}
     target = canonical(mu_p)
@@ -326,7 +332,10 @@ def decompose_perm_module(n: int, m: int, q: int) -> Decomposition:
         stable, _ = stabilize(state)
         stable_shape = shape_of(stable)
         cls = class_size(stable_shape, q)
-        assert cls > 0 and weight % cls == 0
+        if cls <= 0 or weight % cls:
+            raise InvariantViolated(
+                f"path weight {weight} of {state} is not a multiple of class size {cls}"
+            )
         entries.append(
             DecompositionEntry(
                 shape=stable_shape,
@@ -337,8 +346,10 @@ def decompose_perm_module(n: int, m: int, q: int) -> Decomposition:
         )
     entries.sort(key=lambda e: e.shape.sort_key())
     dec = Decomposition(n=n, m=m, q=q, entries=tuple(entries))
-    assert dec.stable_map()[Shape()][0] == 1  # trivial constituent exactly once
-    assert dec.dimension() == gl_order(n, q) // gl_order(n - m, q)
+    if dec.stable_map().get(Shape(), (0,))[0] != 1:
+        raise InvariantViolated(f"trivial constituent not exactly once in ({n},{m},{q})")
+    if dec.dimension() != gl_order(n, q) // gl_order(n - m, q):
+        raise InvariantViolated(f"dimension identity fails for ({n},{m},{q})")
     return dec
 
 
@@ -374,9 +385,7 @@ def restrict_step(mu: Label, q: int) -> list:
         )
         cnt = 1
         for d, k in by_degree.items():
-            avail = cuspidal_count(d, q) - (1 if d == 1 else 0) - sum(
-                1 for key in context if key_degree(key) == d
-            )
+            avail = _pool(d, q) - sum(1 for key in context if key_degree(key) == d)
             parts = [r for key, r in nu_state.entries if key[0] == "anon" and key_degree(key) == d]
             ways = _falling(avail, k)
             denom = prod(factorial(parts.count(rows)) for rows in set(parts))

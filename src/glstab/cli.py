@@ -1,9 +1,10 @@
 """Command-line front end: decompositions, stability reports, zigzag counts,
 the acceptance suite, dimension tables, and direct oracle queries.
 
-Exit codes: 0 success, 1 a verification check failed, 2 usage error or a
-size guard refused the computation.  All output is byte-deterministic for a
-fixed invocation; big integers are rendered as decimal strings in JSON.
+Exit codes: 0 success, 1 a verification check failed or an internal
+invariant was violated, 2 usage error or a size guard refused the
+computation.  All output is byte-deterministic for a fixed invocation; big
+integers are rendered as decimal strings in JSON.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import sys
 
 from .branching import count_zigzag, decompose_perm_module
 from .degrees import p_polynomial, prime_power, vic_hom_count
-from .errors import BadParameters, GuardExceeded
+from .errors import BadParameters, GuardExceeded, InvariantViolated
 from .labels import format_shape, label_of_shape, parse_shape, shape_to_json
 from .oracle.counts import (
     conjugacy_class_count,
@@ -32,11 +33,11 @@ USAGE_ERROR, CHECK_FAILURE, OK = 2, 1, 0
 
 
 def _check_q(q, oracle=False):
+    if q.bit_length() > 63:
+        raise BadParameters("q must fit in 64 bits")
     prime_power(q)
     if oracle and q > MAX_Q:
         raise BadParameters(f"oracle commands need q <= {MAX_Q}")
-    if q.bit_length() > 63:
-        raise BadParameters("q must fit in 64 bits")
 
 
 def _emit(text, out):
@@ -251,9 +252,7 @@ def build_parser():
     p.set_defaults(fn=cmd_zigzag)
 
     p = sub.add_parser("verify", help="run the acceptance suite")
-    group = p.add_mutually_exclusive_group()
-    group.add_argument("--quick", action="store_true")
-    group.add_argument("--full", action="store_true")
+    p.add_argument("--quick", action="store_true")
     p.add_argument("--suite", choices=sorted(SUITES), default=None)
     p.set_defaults(fn=cmd_verify)
 
@@ -303,6 +302,9 @@ def main(argv=None):
             + "\n"
         )
         return USAGE_ERROR
+    except InvariantViolated as exc:
+        sys.stderr.write(json.dumps({"error": "invariant_violated", "reason": str(exc)}) + "\n")
+        return CHECK_FAILURE
     except ValueError as exc:
         sys.stderr.write(json.dumps({"error": "bad_parameters", "reason": str(exc)}) + "\n")
         return USAGE_ERROR

@@ -1,8 +1,11 @@
-"""Exact polynomial arithmetic in the field-size variable.
+"""Group orders, cuspidal counts, Green degrees and the dimension polynomial
+of the free module on m generators.
 
-Group orders, cuspidal counts, Green degree polynomials and the dimension
-polynomial of the free module on m generators.  Everything is exact; degree
-evaluations overflow 64 bits quickly, so values are arbitrary precision.
+Green degrees are kept in factored form and evaluated in exact integer
+arithmetic; degree values overflow 64 bits quickly, so they are Python ints.
+QPoly, a polynomial with rational coefficients, remains only for the
+polynomials that are printed or compared as polynomials: the group order and
+the point-count polynomial.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from functools import lru_cache
 from math import prod
 
 from . import partitions as pt
-from .errors import BadParameters, GuardExceeded
+from .errors import BadParameters, GuardExceeded, InvariantViolated
 from .labels import Shape, enumerate_labels
 
 
@@ -40,17 +43,9 @@ class QPoly:
             out[e] = out.get(e, Fraction(0)) + c
         return QPoly(out)
 
-    __radd__ = __add__
-
-    def __neg__(self):
-        return QPoly({e: -c for e, c in self.coeffs.items()})
-
     def __sub__(self, other):
         other = other if isinstance(other, QPoly) else QPoly.const(other)
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return QPoly.const(other) - self
+        return self + QPoly({e: -c for e, c in other.coeffs.items()})
 
     def __mul__(self, other):
         other = other if isinstance(other, QPoly) else QPoly.const(other)
@@ -60,46 +55,9 @@ class QPoly:
                 out[e1 + e2] = out.get(e1 + e2, Fraction(0)) + c1 * c2
         return QPoly(out)
 
-    __rmul__ = __mul__
-
-    def __pow__(self, k):
-        out = QPoly.const(1)
-        for _ in range(k):
-            out = out * self
-        return out
-
     def __eq__(self, other):
         other = other if isinstance(other, QPoly) else QPoly.const(other)
         return self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(tuple(sorted(self.coeffs.items())))
-
-    def degree(self):
-        return max(self.coeffs, default=-1)
-
-    def divexact(self, other: "QPoly") -> "QPoly":
-        """Polynomial division; raises if the remainder is nonzero."""
-        rem = dict(self.coeffs)
-        out = {}
-        de = other.degree()
-        if de < 0:
-            raise ZeroDivisionError("division by zero polynomial")
-        dc = other.coeffs[de]
-        while rem:
-            e = max(rem)
-            if e < de:
-                raise ValueError("inexact polynomial division")
-            q = rem[e] / dc
-            out[e - de] = q
-            for oe, oc in other.coeffs.items():
-                ne = e - de + oe
-                val = rem.get(ne, Fraction(0)) - q * oc
-                if val:
-                    rem[ne] = val
-                else:
-                    rem.pop(ne, None)
-        return QPoly(out)
 
     def evaluate(self, x):
         """Exact evaluation; returns an int when the value is integral."""
@@ -114,32 +72,41 @@ class QPoly:
             }
         }
 
-    def __repr__(self):
-        if not self.coeffs:
-            return "QPoly(0)"
-        terms = " + ".join(f"{c}*q^{e}" for e, c in sorted(self.coeffs.items(), reverse=True))
-        return f"QPoly({terms})"
+
+# Miller-Rabin bases: the least strong pseudoprime to all twelve is about
+# 3.2e23, so the test is exact for every n below 2**64.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def _is_prime(n) -> bool:
+    if n < 2 or any(n % p == 0 for p in _MR_BASES):
+        return n in _MR_BASES
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def prime_power(q):
-    """Return (p, k) with q = p**k, or raise BadParameters."""
-    if q < 2:
-        raise BadParameters(f"{q} is not a prime power")
-    p = 2
-    n = q
-    while p * p <= n:
-        if n % p == 0:
-            break
-        p += 1
-    else:
-        p = n
-    k = 0
-    while n > 1:
-        if n % p:
-            raise BadParameters(f"{q} is not a prime power")
-        n //= p
-        k += 1
-    return p, k
+    """Return (p, k) with q = p**k, or raise BadParameters; q must be below 2**64."""
+    if q >= 2**64:
+        raise BadParameters("q must be below 2**64")
+    for k in range(1, max(q, 1).bit_length()):
+        # below 2**64 the rounded float root is exact whenever q is a k-th power
+        p = q if k == 1 else round(q ** (1 / k))
+        if p**k == q and _is_prime(p):
+            return p, k
+    raise BadParameters(f"{q} is not a prime power")
 
 
 def gl_order_poly(n) -> QPoly:
@@ -176,33 +143,48 @@ def cuspidal_count(d, q) -> int:
     if d < 1:
         raise BadParameters("degree must be positive")
     total = sum(_mobius(d // e) * (q**e - 1) for e in range(1, d + 1) if d % e == 0)
-    assert total % d == 0
-    return total // d
+    count, rem = divmod(total, d)
+    if rem:
+        raise InvariantViolated(f"cuspidal count of degree {d} at q={q} is not integral")
+    return count
 
 
-def psi_poly(n) -> QPoly:
-    """prod_{i=1..n} (q^i - 1)."""
-    out = QPoly.const(1)
-    for i in range(1, n + 1):
-        out = out * (QPoly.monomial(i) - 1)
-    return out
+class GreenDegree:
+    """Green's degree formula in factored form (Green, Trans. AMS 1955;
+    Macdonald, Symmetric Functions and Hall Polynomials, Ch. IV):
+
+        q^shift * prod_{i=1..norm} (q^i - 1) / prod_{e in hook_exps} (q^e - 1).
+    """
+
+    __slots__ = ("shift", "norm", "hook_exps")
+
+    def __init__(self, shift, norm, hook_exps):
+        self.shift, self.norm, self.hook_exps = shift, norm, hook_exps
+
+    def evaluate(self, q) -> int:
+        num = q**self.shift * prod(q**i - 1 for i in range(1, self.norm + 1))
+        deg, rem = divmod(num, prod(q**e - 1 for e in self.hook_exps))
+        if rem:
+            raise InvariantViolated(
+                f"inexact Green degree quotient at q={q}: shift={self.shift},"
+                f" norm={self.norm}, hook exponents={self.hook_exps}"
+            )
+        return deg
 
 
-def degree_poly(shape: Shape) -> QPoly:
-    """Green degree polynomial of the irreducible with the given full label.
+def degree_poly(shape: Shape) -> GreenDegree:
+    """Green degree of the irreducible with the given full label.
 
     The shape here describes a full label at its own norm (the iota entry is
     the padded partition, not a stable tail).
     """
     parts = [(1, shape.iota)] if shape.iota else []
     parts += list(shape.parts)
-    n = shape.norm()
-    num = psi_poly(n) * QPoly.monomial(sum(d * pt.n_stat(rows) for d, rows in parts))
-    den = QPoly.const(1)
-    for d, rows in parts:
-        for h in pt.hooks(rows):
-            den = den * (QPoly.monomial(d * h) - 1)
-    return num.divexact(den)
+    return GreenDegree(
+        shift=sum(d * pt.n_stat(rows) for d, rows in parts),
+        norm=shape.norm(),
+        hook_exps=tuple(d * h for d, rows in parts for h in pt.hooks(rows)),
+    )
 
 
 def sum_degree_squares_check(n, q) -> bool:
@@ -212,7 +194,6 @@ def sum_degree_squares_check(n, q) -> bool:
     total = 0
     for shape, cls in enumerate_labels(n, q):
         deg = degree_poly(shape).evaluate(q)
-        assert isinstance(deg, int)
         total += cls * deg * deg
     return total == gl_order(n, q)
 

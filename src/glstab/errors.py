@@ -32,3 +32,7 @@ class GuardExceeded(RuntimeError):
 
 class ActionNotClosed(RuntimeError):
     """A generator maps a point outside the indexed space."""
+
+
+class InvariantViolated(RuntimeError):
+    """An internal identity that must hold for every valid input failed."""

@@ -1,7 +1,13 @@
 """Zigzag path counting, one-step restriction, and full decompositions."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import glstab
 from glstab.branching import (
     count_zigzag,
     decompose_perm_module,
@@ -125,6 +131,46 @@ def test_decompose_rejects_bad_parameters():
         decompose_perm_module(2, 3, 2)
     with pytest.raises(BadParameters):
         decompose_perm_module(3, 1, 6)
+
+
+def test_labels_beyond_the_cuspidal_pool_are_rejected():
+    """At q = 2 the only degree-1 cuspidal is iota, and one of degree 2 exists."""
+    one = Label({anon_key(1, 0): (1,)})
+    with pytest.raises(BadParameters):
+        count_zigzag(one, Label({anon_key(1, 0): (2,)}), 1, 2)
+    with pytest.raises(BadParameters):
+        count_zigzag(trivial_label(0), one, 1, 2)
+    with pytest.raises(BadParameters):
+        restrict_step(one, 2)
+    two = Label({anon_key(2, 0): (1,), anon_key(2, 1): (1,)})
+    with pytest.raises(BadParameters):
+        count_zigzag(trivial_label(0), two, 4, 2)
+    with pytest.raises(BadParameters):
+        restrict_step(two, 2)
+    # the same labels exist at q = 3 (two degree-1 non-iota, three degree-2)
+    assert count_zigzag(one, Label({anon_key(1, 0): (2,)}), 1, 3) == 1
+    assert restrict_step(two, 3)
+
+
+def test_decomposition_invariants_survive_optimize_flag():
+    """The checks in decompose_perm_module are not asserts: they hold under -O."""
+    script = (
+        "import glstab.branching as b\n"
+        "from glstab.errors import InvariantViolated\n"
+        "assert False, 'python -O did not strip asserts'\n"
+        "b.gl_order = lambda n, q: 1\n"
+        "try:\n"
+        "    b.decompose_perm_module(4, 2, 2)\n"
+        "except InvariantViolated as exc:\n"
+        "    print('raised', exc)\n"
+    )
+    src = str(Path(glstab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("raised dimension identity fails")
 
 
 def test_zigzag_recursion_consistency():

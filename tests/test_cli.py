@@ -2,8 +2,14 @@
 
 import io
 import json
-from contextlib import redirect_stdout
+import os
+import subprocess
+import sys
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
+import glstab
+import glstab.branching
 from glstab.cli import main
 
 
@@ -84,6 +90,41 @@ def test_usage_errors_exit_2():
     code, _ = run_cli(["zigzag", "--from", "i:(2,1)", "--to", "i:(1,1)", "--q", "2"])
     assert code == 2
     code, _ = run_cli(["nonsense"])
+    assert code == 2
+
+
+def test_impossible_zigzag_endpoint_exits_2():
+    # at q = 2 the only degree-1 cuspidal is iota
+    err = io.StringIO()
+    with redirect_stderr(err):
+        code, out = run_cli(["zigzag", "--from", "1:(1)", "--to", "1:(2)", "--q", "2"])
+    assert (code, out) == (2, "")
+    assert json.loads(err.getvalue())["error"] == "bad_parameters"
+    assert run_cli(["zigzag", "--from", "1:(1)", "--to", "1:(2)", "--q", "3"]) == (0, "1\n")
+
+
+def test_invariant_violation_exits_1(monkeypatch):
+    monkeypatch.setattr(glstab.branching, "gl_order", lambda n, q: 1)
+    err = io.StringIO()
+    with redirect_stderr(err):
+        code, _ = run_cli(["decompose", "--m", "1", "--q", "2"])
+    assert code == 1
+    assert json.loads(err.getvalue())["error"] == "invariant_violated"
+
+
+def test_large_prime_q_is_bounded():
+    src = str(Path(glstab.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "glstab.cli", "decompose", "--m", "1", "--q", str(2**61 - 1)],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=10,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "checks: dimension ok" in proc.stdout
+    with redirect_stderr(io.StringIO()):
+        code, _ = run_cli(["decompose", "--m", "1", "--q", str(2**64 + 1)])
     assert code == 2
 
 

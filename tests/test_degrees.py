@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from glstab import partitions as pt
 from glstab.degrees import (
+    GreenDegree,
     QPoly,
     cuspidal_count,
     degree_poly,
@@ -14,12 +16,11 @@ from glstab.degrees import (
     gl_order_poly,
     p_polynomial,
     prime_power,
-    psi_poly,
     sum_degree_squares_check,
     vic_hom_count,
 )
-from glstab.errors import BadParameters, GuardExceeded
-from glstab.labels import make_shape
+from glstab.errors import BadParameters, GuardExceeded, InvariantViolated
+from glstab.labels import enumerate_shapes, make_shape
 
 polys = st.dictionaries(st.integers(0, 6), st.integers(-9, 9), max_size=5).map(QPoly)
 
@@ -28,20 +29,87 @@ def test_prime_power():
     assert prime_power(8) == (2, 3)
     assert prime_power(9) == (3, 2)
     assert prime_power(7) == (7, 1)
-    for bad in (1, 6, 12, 100):
+    assert prime_power(2**61 - 1) == (2**61 - 1, 1)
+    assert prime_power((2**31 - 1) ** 2) == (2**31 - 1, 2)
+    assert prime_power(3**40) == (3, 40)
+    # a semiprime of two 31-bit primes, the least strong pseudoprime to the
+    # prime bases up to 23, and values outside 2..2**64 - 1
+    for bad in (0, 1, 6, 12, 100, (2**31 - 1) * 2147483629, 3825123056546413051, 2**64):
         with pytest.raises(BadParameters):
             prime_power(bad)
 
 
-@given(polys, polys)
-def test_multiplication_then_exact_division(a, b):
-    if b.coeffs:
-        assert (a * b).divexact(b) == a
+def test_prime_power_matches_trial_division():
+    def by_trial_division(q):
+        p = next(p for p in range(2, q + 1) if q % p == 0)
+        k = 0
+        while q % p == 0:
+            q, k = q // p, k + 1
+        return (p, k) if q == 1 else None
+
+    for q in range(2, 5000):
+        expected = by_trial_division(q)
+        if expected is None:
+            with pytest.raises(BadParameters):
+                prime_power(q)
+        else:
+            assert prime_power(q) == expected
 
 
-def test_divexact_rejects_inexact():
-    with pytest.raises(ValueError):
-        (QPoly.monomial(1) + 1).divexact(QPoly.monomial(1) - 1)
+def _poly_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _poly_divmod(num, den):
+    """Long division of integer coefficient lists (constant term first) by a
+    divisor with leading coefficient 1."""
+    assert den[-1] == 1
+    rem, quot = list(num), [0] * max(len(num) - len(den) + 1, 1)
+    for shift in range(len(num) - len(den), -1, -1):
+        c = rem[shift + len(den) - 1]
+        quot[shift] = c
+        for j, y in enumerate(den):
+            rem[shift + j] -= c * y
+    return quot, rem
+
+
+def _q_minus_one(e):
+    """Coefficients of q^e - 1."""
+    return [-1] + [0] * (e - 1) + [1]
+
+
+def _green_quotient(shape):
+    """Green's degree polynomial of a full label, by long division."""
+    parts = ([(1, shape.iota)] if shape.iota else []) + list(shape.parts)
+    num = [0] * sum(d * pt.n_stat(rows) for d, rows in parts) + [1]
+    for i in range(1, shape.norm() + 1):
+        num = _poly_mul(num, _q_minus_one(i))
+    den = [1]
+    for d, rows in parts:
+        for h in pt.hooks(rows):
+            den = _poly_mul(den, _q_minus_one(d * h))
+    quot, rem = _poly_divmod(num, den)
+    assert not any(rem), shape
+    return quot
+
+
+def test_integer_degree_equals_polynomial_quotient():
+    for n in range(7):
+        for shape in enumerate_shapes(n):
+            quot = _green_quotient(shape)
+            for q in (2, 3, 4, 5, 7, 8, 9):
+                deg = degree_poly(shape).evaluate(q)
+                assert deg == sum(c * q**e for e, c in enumerate(quot)), (shape, q)
+                assert gl_order(n, q) % deg == 0, (shape, q)
+
+
+def test_inexact_degree_quotient_raises():
+    with pytest.raises(InvariantViolated):
+        GreenDegree(shift=0, norm=1, hook_exps=(2,)).evaluate(2)
 
 
 @given(polys, st.integers(-4, 4))
