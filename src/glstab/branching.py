@@ -14,10 +14,9 @@ from __future__ import annotations
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
-from math import factorial, prod
 
 from . import partitions as pt
-from .degrees import cuspidal_count, degree_poly, gl_order, prime_power
+from .degrees import degree_poly, gl_order, prime_power
 from .errors import BadParameters, InvariantViolated, SizeMismatch
 from .labels import (
     IOTA,
@@ -26,11 +25,14 @@ from .labels import (
     anon_key,
     canonical,
     class_size,
+    draws,
     key_degree,
     named_key,
+    pool_size,
     shape_of,
     stabilize,
     trivial_label,
+    weighted_multisets,
 )
 
 
@@ -44,41 +46,14 @@ def _uset(rows, target_size):
     return tuple(pt.up_set(rows, target_size))
 
 
-def _falling(a, k):
-    return prod(range(a, a - k, -1)) if 0 <= k <= a else 0
-
-
 @lru_cache(maxsize=None)
 def _column_multisets(budget):
     """Multisets of (degree, height) with sum degree*height = budget, height >= 1."""
-    if budget == 0:
-        return ((),)
-    items = []
-    for d in range(1, budget + 1):
-        for k in range(1, budget // d + 1):
-            items.append((d, k))
-    items.sort(reverse=True)
-    out = []
-
-    def rec(remaining, start, acc):
-        if remaining == 0:
-            out.append(tuple(acc))
-            return
-        for idx in range(start, len(items)):
-            d, k = items[idx]
-            if d * k > remaining:
-                continue
-            acc.append((d, k))
-            rec(remaining - d * k, idx, acc)
-            acc.pop()
-
-    rec(budget, 0, [])
-    return tuple(out)
-
-
-def _pool(degree, q):
-    """Cuspidals of the given degree that a non-iota key may take at q."""
-    return cuspidal_count(degree, q) - (1 if degree == 1 else 0)
+    cols = sorted(
+        ((d, k) for d in range(1, budget + 1) for k in range(1, budget // d + 1)),
+        reverse=True,
+    )
+    return tuple(weighted_multisets([(d * k, (d, k)) for d, k in cols], budget))
 
 
 class _Ctx:
@@ -89,9 +64,9 @@ class _Ctx:
         self.named_context = tuple(sorted(named_context))
         self.named_by_degree = Counter(key_degree(k) for k in self.named_context)
         for d, used in self.named_by_degree.items():
-            if used > _pool(d, q):
+            if used > pool_size(d, q):
                 raise BadParameters(
-                    f"labels need {used} distinct degree-{d} cuspidals; q={q} has {_pool(d, q)}"
+                    f"labels need {used} distinct degree-{d} cuspidals; q={q} has {pool_size(d, q)}"
                 )
         self._down_memo = {}
         self._up_memo = {}
@@ -122,20 +97,12 @@ class _Ctx:
         self._down_memo[state] = out
         return out
 
-    def _avail(self, degree, active_anon):
-        return (
-            _pool(degree, self.q)
-            - self.named_by_degree.get(degree, 0)
-            - active_anon.get(degree, 0)
-        )
-
     def up(self, state: Label, target_norm: int):
         """Canonical successors of one add-at-most-one-box-per-row step.
 
         Weights count concrete successors of one concrete representative:
-        fresh anonymous activations of f_d distinct degree-d cuspidals
-        contribute falling(avail_d, f_d) divided by the multiplicities of
-        equal fresh columns.
+        the fresh anonymous columns draw distinct cuspidals from what the
+        pinned and active keys leave of the pool.
         """
         memo_key = (state, target_norm)
         hit = self._up_memo.get(memo_key)
@@ -151,25 +118,19 @@ class _Ctx:
         active_anon = Counter(
             key_degree(k) for k, _ in state.entries if k[0] == "anon"
         )
-        next_slot = len([k for k, _ in state.entries if k[0] == "anon"])
-
-        def fresh_weight(cols):
-            per_degree = Counter(d for d, _k in cols)
-            weight = 1
-            for d, f in per_degree.items():
-                weight *= _falling(self._avail(d, active_anon), f)
-                if weight == 0:
-                    return 0
-            for dk, mult in Counter(cols).items():
-                weight //= factorial(mult)
-            return weight
+        used = self.named_by_degree + active_anon
+        next_slot = sum(active_anon.values())
+        fresh = {}  # remaining budget -> fresh column multisets with nonzero weight
 
         def rec(idx, remaining, acc):
             if idx == len(keys):
-                for cols in _column_multisets(remaining):
-                    w = fresh_weight(cols)
-                    if w == 0:
-                        continue
+                if remaining not in fresh:
+                    fresh[remaining] = [
+                        (cols, w)
+                        for cols in _column_multisets(remaining)
+                        if (w := draws(cols, self.q, used))
+                    ]
+                for cols, w in fresh[remaining]:
                     items = dict(acc)
                     for j, (d, k) in enumerate(cols):
                         items[anon_key(d, next_slot + j)] = (1,) * k
@@ -380,17 +341,11 @@ def restrict_step(mu: Label, q: int) -> list:
             weights[nu_state] += c_down * c_up
     out = []
     for nu_state, w in sorted(weights.items(), key=lambda kv: kv[0].entries):
-        by_degree = Counter(
-            key_degree(k) for k, _ in nu_state.entries if k[0] == "anon"
-        )
-        cnt = 1
-        for d, k in by_degree.items():
-            avail = _pool(d, q) - sum(1 for key in context if key_degree(key) == d)
-            parts = [r for key, r in nu_state.entries if key[0] == "anon" and key_degree(key) == d]
-            ways = _falling(avail, k)
-            denom = prod(factorial(parts.count(rows)) for rows in set(parts))
-            assert ways % denom == 0
-            cnt *= ways // denom
-        assert cnt > 0 and w % cnt == 0
+        anon = [(key_degree(k), r) for k, r in nu_state.entries if k[0] == "anon"]
+        cnt = draws(anon, q, ctx.named_by_degree)
+        if cnt <= 0 or w % cnt:
+            raise InvariantViolated(
+                f"restriction weight {w} of {nu_state} is not a multiple of class count {cnt}"
+            )
         out.append(RestrictEntry(label=nu_state, multiplicity=w // cnt, class_count=cnt))
     return out

@@ -13,13 +13,12 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 
 from .branching import count_zigzag, decompose_perm_module
 from .degrees import p_polynomial, prime_power, vic_hom_count
 from .errors import BadParameters, GuardExceeded, InvariantViolated
-from .labels import format_shape, label_of_shape, parse_shape, shape_to_json
+from .labels import format_shape, label_of_shape, parse_shape
 from .oracle.counts import (
     conjugacy_class_count,
     double_cosets_gl,
@@ -63,15 +62,6 @@ def _csv(headers, rows):
     return buf.getvalue()
 
 
-def threads_from(args) -> int:
-    if args.threads:
-        return args.threads
-    env = os.environ.get("GLSTAB_THREADS")
-    if env:
-        return int(env)
-    return os.cpu_count() or 1
-
-
 def cmd_decompose(args, out):
     _check_q(args.q)
     n = args.n if args.n is not None else 3 * args.m
@@ -113,7 +103,7 @@ def cmd_decompose(args, out):
 
 def cmd_stability(args, out):
     _check_q(args.q)
-    report = empirical_stability_degree(args.m, args.q, args.n_max, workers=threads_from(args))
+    report = empirical_stability_degree(args.m, args.q, args.n_max)
     if args.format == "json":
         _emit(json.dumps(report.to_json(), sort_keys=True), out)
     else:
@@ -227,7 +217,6 @@ def build_parser():
         prog="glstab",
         description="Decompositions of GL_n(F_q) permutation modules and their stability.",
     )
-    parser.add_argument("--threads", type=int, default=None, help="worker count (env GLSTAB_THREADS)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("decompose", help="decompose k[G_n/G_{n-m}]")

@@ -10,11 +10,13 @@ support is literally the key set.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from math import factorial, prod
+from functools import lru_cache
+from math import factorial, perm, prod
 
 from . import partitions as pt
-from .errors import BadParameters, GuardExceeded, NotPadded, PadUndefined
+from .errors import BadParameters, GuardExceeded, InvariantViolated, NotPadded, PadUndefined
 
 IOTA = ("iota", 1, 0)
 
@@ -199,8 +201,34 @@ def label_of_shape(shape: Shape) -> Label:
     return Label(items)
 
 
-def _falling(a, k):
-    return prod(range(a, a - k, -1)) if k >= 0 else 0
+@lru_cache(maxsize=None)
+def pool_size(d, q) -> int:
+    """Cuspidals of degree d at field size q that a non-iota key may take."""
+    from .degrees import cuspidal_count  # late import to avoid a cycle
+
+    return cuspidal_count(d, q) - (d == 1)
+
+
+def draws(parts, q, used=None) -> int:
+    """Ways to give each (degree, tag) part its own cuspidal from the pool at q.
+
+    used[d] degree-d cuspidals are already taken.  Distinct parts of one
+    degree take distinct cuspidals, and equal parts are interchangeable: each
+    degree contributes perm(avail, k), divided by the factorials of the part
+    multiplicities.
+    """
+    total = 1
+    for d, k in Counter(d for d, _tag in parts).items():
+        avail = pool_size(d, q) - (used or {}).get(d, 0)
+        if avail < 0:
+            raise InvariantViolated(f"{-avail} more degree-{d} cuspidals in use than q={q} has")
+        total *= perm(avail, k)
+    if not total:
+        return 0
+    total, rem = divmod(total, prod(factorial(c) for c in Counter(parts).values()))
+    if rem:
+        raise InvariantViolated(f"draws of {parts} at q={q} are not integral")
+    return total
 
 
 def class_size(shape: Shape, q: int) -> int:
@@ -209,49 +237,42 @@ def class_size(shape: Shape, q: int) -> int:
     Distinct anonymous cuspidals of each degree are drawn without repetition
     from the pool at q; iota is excluded from the degree-1 pool.
     """
-    from .degrees import cuspidal_count  # late import to avoid a cycle
-
     if q < 2:
         raise BadParameters("q must be >= 2")
-    by_degree = {}
-    for d, rows in shape.parts:
-        by_degree.setdefault(d, []).append(rows)
-    total = 1
-    for d, parts in by_degree.items():
-        pool = cuspidal_count(d, q) - (1 if d == 1 else 0)
-        ways = _falling(pool, len(parts))
-        denom = prod(factorial(parts.count(rows)) for rows in set(parts))
-        assert ways % denom == 0
-        total *= ways // denom
-        if total == 0:
-            return 0
-    return total
+    return draws(shape.parts, q)
 
 
-def _anon_part_multisets(budget, max_item=None):
-    """Multisets of (degree, nonempty partition) with total weighted size = budget."""
-    if budget == 0:
-        yield ()
-        return
-    items = []
-    for d in range(1, budget + 1):
-        for s in range(1, budget // d + 1):
-            for rows in pt.partitions_of(s):
-                items.append((d * s, d, rows))
-    items.sort(key=lambda it: (it[0], it[1], pt.part_sort_key(it[2])), reverse=True)
+def weighted_multisets(items, budget):
+    """Multisets of items whose weights sum to budget.
+
+    items is a sequence of (weight, item) pairs with positive weights; each
+    multiset is yielded once, as a tuple listing its items in the order of
+    items.
+    """
 
     def rec(remaining, start):
         if remaining == 0:
             yield ()
             return
         for idx in range(start, len(items)):
-            w, d, rows = items[idx]
-            if w > remaining:
-                continue
-            for rest in rec(remaining - w, idx):
-                yield ((d, rows),) + rest
+            w, item = items[idx]
+            if w <= remaining:
+                for rest in rec(remaining - w, idx):
+                    yield (item,) + rest
 
-    yield from rec(budget, 0)
+    return rec(budget, 0)
+
+
+def _anon_part_multisets(budget):
+    """Multisets of (degree, nonempty partition) with total weighted size = budget."""
+    items = [
+        (d * s, d, rows)
+        for d in range(1, budget + 1)
+        for s in range(1, budget // d + 1)
+        for rows in pt.partitions_of(s)
+    ]
+    items.sort(key=lambda it: (it[0], it[1], pt.part_sort_key(it[2])), reverse=True)
+    return weighted_multisets([(w, (d, rows)) for w, d, rows in items], budget)
 
 
 def enumerate_shapes(n) -> list:
@@ -331,29 +352,26 @@ def shape_from_json(data) -> Shape:
 
 
 def parse_shape(text: str) -> Shape:
-    """Parse human syntax: 'i:(3,2); 2:(1)x1' (iota also spelled 'iota')."""
-    text = text.strip()
-    iota = ()
+    """Parse human syntax: 'i:(3,2); 2:(1)x1' (iota also spelled 'iota').
+
+    Iota appears at most once and takes no count; other counts are >= 1.
+    """
+    iota = None
     parts = []
-    if text:
-        for piece in text.split(";"):
-            piece = piece.strip()
-            if not piece:
-                continue
-            head, _, rest = piece.partition(":")
-            head = head.strip()
-            rest = rest.strip()
-            count = 1
-            if "x" in rest:
-                rest, _, mult = rest.rpartition("x")
-                count = int(mult)
-            rows = rest.strip()
-            if not (rows.startswith("(") and rows.endswith(")")):
-                raise BadParameters(f"bad partition syntax in {piece!r}")
-            body = rows[1:-1].strip()
-            rows = tuple(int(v) for v in body.split(",")) if body else ()
-            if head in ("i", "iota", "ι"):
-                iota = rows
-            else:
-                parts.extend([(int(head), rows)] * count)
-    return make_shape(iota, parts)
+    for piece in filter(None, (p.strip() for p in text.split(";"))):
+        head, _, rest = (s.strip() for s in piece.partition(":"))
+        rows, x, mult = (s.strip() for s in rest.partition("x"))
+        if not (rows.startswith("(") and rows.endswith(")")):
+            raise BadParameters(f"bad partition syntax in {piece!r}")
+        body = rows[1:-1].strip()
+        rows = tuple(int(v) for v in body.split(",")) if body else ()
+        count = int(mult) if x else 1
+        if head in ("i", "iota", "ι"):
+            if x or iota is not None:
+                raise BadParameters(f"iota takes one partition and no count: {piece!r}")
+            iota = rows
+        elif count < 1:
+            raise BadParameters(f"count must be >= 1 in {piece!r}")
+        else:
+            parts.extend([(int(head), rows)] * count)
+    return make_shape(iota or (), parts)

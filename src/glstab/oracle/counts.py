@@ -14,7 +14,7 @@ import warnings
 from functools import lru_cache
 
 from ..degrees import gl_order, vic_hom_count
-from ..errors import BadParameters, GuardExceeded
+from ..errors import BadParameters, GuardExceeded, InvariantViolated
 from . import matrices as mx
 from .fields import field
 from .orbits import orbit_partition
@@ -200,15 +200,15 @@ def _space(m, n, q):
                 rec(cols + (v,), frozenset(bigger))
 
     rec((), frozenset((0,)))
-    assert len(points) == total
+    if len(points) != total:
+        raise InvariantViolated(f"built {len(points)} points of ({m},{n},{q}); expected {total}")
     return tuple(points), S
 
 
-def _block_subgroup_generators(ell, r, q, n):
+def _block_subgroup_generators(ell, q, n):
     """Generators of the subgroup fixing the first ell coordinates: diag(1, g)."""
-    assert ell + r == n
     gens = []
-    for g in group_generators(r, q) if r else []:
+    for g in group_generators(n - ell, q) if n > ell else []:
         rows = []
         for i in range(n):
             if i < ell:
@@ -247,7 +247,7 @@ def _orbit_data(m, n, q, ell):
     points, S = _space(m, n, q)
     actions = [
         _make_action(_matvec_table(h, n, q, field(q)), m, n, q, S)
-        for h in _block_subgroup_generators(ell, n - ell, q, n)
+        for h in _block_subgroup_generators(ell, q, n)
     ]
     reps, labels = orbit_partition(points, actions)
     return tuple(reps), labels, S

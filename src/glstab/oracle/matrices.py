@@ -16,10 +16,6 @@ def identity(n):
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
-def zero_matrix(rows, cols):
-    return tuple((0,) * cols for _ in range(rows))
-
-
 def mat_mul(F: Field, a, b):
     if not a or not b:
         return ()
@@ -77,10 +73,6 @@ def inverse(F: Field, mat):
     if pivots[:n] != tuple(range(n)):
         raise BadParameters("matrix is not invertible")
     return tuple(row[n:] for row in red[:n])
-
-
-def is_invertible(F: Field, mat) -> bool:
-    return len(mat) > 0 and len(mat) == len(mat[0]) and rank(F, mat) == len(mat)
 
 
 def all_matrices(n_rows, n_cols, q):

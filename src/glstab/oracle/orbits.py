@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections import deque
 
-from ..errors import ActionNotClosed
+from ..errors import ActionNotClosed, InvariantViolated
 
 
 def orbit_partition(points, actions):
@@ -55,5 +55,7 @@ def burnside_count(points, element_actions) -> int:
                 raise ActionNotClosed(f"image {img!r} left the point set")
             if img == p:
                 total += 1
-    assert total % order == 0
-    return total // order
+    orbits, rem = divmod(total, order)
+    if rem:
+        raise InvariantViolated(f"{total} fixed points over {order} group elements")
+    return orbits

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from ..degrees import vic_hom_count
-from ..errors import BadParameters, DimensionMismatch, GuardExceeded
+from ..errors import BadParameters, DimensionMismatch, GuardExceeded, InvariantViolated
 from .fields import Field, field
 from .matrices import mat_mul, rank, rref
 
@@ -128,7 +128,8 @@ def vic_morphisms(m, n, q) -> list:
                 )
 
     columns([], {(0,) * n})
-    assert len(out) == total
+    if len(out) != total:
+        raise InvariantViolated(f"built {len(out)} morphisms of ({m},{n},{q}); expected {total}")
     return out
 
 

@@ -39,19 +39,12 @@ class StabilityReport:
         }
 
 
-def empirical_stability_degree(m: int, q: int, n_max: int, workers=None) -> StabilityReport:
+def empirical_stability_degree(m: int, q: int, n_max: int) -> StabilityReport:
     """Decompose for every n in [m, n_max] and locate the onset of constancy."""
     if n_max < 3 * m:
         raise BadParameters(f"n_max={n_max} must be >= 3m={3 * m}")
-    sizes = list(range(m, n_max + 1))
-    if workers and workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            decs = list(pool.map(lambda n: decompose_perm_module(n, m, q), sizes))
-    else:
-        decs = [decompose_perm_module(n, m, q) for n in sizes]
-    by_n = dict(zip(sizes, decs))
+    sizes = range(m, n_max + 1)
+    by_n = {n: decompose_perm_module(n, m, q) for n in sizes}
     final_map = by_n[n_max].stable_map()
     observed = n_max
     for n in reversed(sizes):

@@ -35,7 +35,6 @@ from .oracle.vic import vic_morphisms
 from .stability import (
     check_h_bijection,
     empirical_stability_degree,
-    stable_decomposition,
     support_bounds_check,
 )
 

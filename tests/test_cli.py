@@ -103,6 +103,14 @@ def test_impossible_zigzag_endpoint_exits_2():
     assert run_cli(["zigzag", "--from", "1:(1)", "--to", "1:(2)", "--q", "3"]) == (0, "1\n")
 
 
+def test_malformed_shape_exits_2():
+    err = io.StringIO()
+    with redirect_stderr(err):
+        code, out = run_cli(["zigzag", "--from", "i:(1)x3", "--to", "i:(2)", "--q", "2"])
+    assert (code, out) == (2, "")
+    assert json.loads(err.getvalue())["error"] == "bad_parameters"
+
+
 def test_invariant_violation_exits_1(monkeypatch):
     monkeypatch.setattr(glstab.branching, "gl_order", lambda n, q: 1)
     err = io.StringIO()

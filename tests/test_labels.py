@@ -1,17 +1,20 @@
 """Label functions, shapes, padding, and class sizes."""
 
+from itertools import combinations_with_replacement, product
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from glstab import partitions as pt
-from glstab.errors import BadParameters, PadUndefined
+from glstab.errors import BadParameters, InvariantViolated, PadUndefined
 from glstab.labels import (
     IOTA,
     Label,
     anon_key,
     canonical,
     class_size,
+    draws,
     enumerate_labels,
     enumerate_shapes,
     format_shape,
@@ -22,6 +25,7 @@ from glstab.labels import (
     named_key,
     pad,
     parse_shape,
+    pool_size,
     shape_from_json,
     shape_of,
     shape_to_json,
@@ -41,6 +45,12 @@ stable_labels = st.builds(
     partitions,
     partitions,
     partitions,
+)
+
+shapes = st.builds(
+    make_shape,
+    partitions,
+    st.lists(st.tuples(st.integers(1, 3), partitions.filter(bool)), max_size=4),
 )
 
 
@@ -142,6 +152,30 @@ def test_class_size_known_values():
     assert class_size(make_shape((), [(2, (1,)), (2, (1,))]), 2) == 0
 
 
+def _brute_draws(parts, q, used):
+    """Injective assignments of parts to cuspidals, up to permuting equal parts."""
+    choices = [[(d, c) for c in range(pool_size(d, q) - used)] for d, _ in parts]
+    seen = set()
+    for pick in product(*choices):
+        if len(set(pick)) == len(pick):
+            seen.add(tuple(sorted(zip(parts, pick))))
+    return len(seen)
+
+
+def test_draws_matches_brute_force():
+    part_types = [(d, tag) for d in (1, 2, 3) for tag in "ab"]
+    for q in (2, 3, 4, 5):
+        for size in range(4):
+            for parts in combinations_with_replacement(part_types, size):
+                for u in range(3):
+                    used = {d: u for d in (1, 2, 3)}
+                    if any(pool_size(d, q) < u for d, _ in parts):
+                        with pytest.raises(InvariantViolated):
+                            draws(parts, q, used)
+                    else:
+                        assert draws(parts, q, used) == _brute_draws(parts, q, u)
+
+
 def test_enumerate_shapes_norm_2():
     shapes = enumerate_shapes(2)
     # iota (2), (1,1); iota (1) + one anon (1); anon (2), (1,1), (1)x2; one degree-2 (1)
@@ -167,6 +201,17 @@ def test_parse_format_round_trip():
     for text in ["i:(3,2); 2:(1)x1", "i:()", "i:(1); 1:(1)x2; 3:(2,1)x1"]:
         shape = parse_shape(text)
         assert parse_shape(format_shape(shape)) == shape
+
+
+@given(shapes)
+def test_parse_format_round_trip_generated(shape):
+    assert parse_shape(format_shape(shape)) == shape
+
+
+@pytest.mark.parametrize("text", ["i:(1)x3", "2:(1)x0", "2:(1)x-2", "i:(2); i:(5)"])
+def test_parse_shape_rejects_malformed_counts(text):
+    with pytest.raises(BadParameters):
+        parse_shape(text)
 
 
 def test_parse_shape_accepts_iota_spellings():

@@ -1,9 +1,14 @@
 """Matrix groups, morphism spaces, and orbit counting cross-checks."""
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import glstab
 from glstab.degrees import gl_order, vic_hom_count
 from glstab.errors import ActionNotClosed, DimensionMismatch, GuardExceeded
 from glstab.oracle import matrices as mx
@@ -134,6 +139,27 @@ def test_orbit_count_transitive():
 def test_orbit_count_raises_when_not_closed():
     with pytest.raises(ActionNotClosed):
         orbit_count([1, 2, 3], [lambda x: x + 1])
+
+
+def test_space_point_count_check_survives_optimize_flag():
+    """The point-count check in _space is not an assert: it holds under -O."""
+    script = (
+        "import glstab.oracle.counts as c\n"
+        "from glstab.errors import InvariantViolated\n"
+        "assert False, 'python -O did not strip asserts'\n"
+        "c.vic_hom_count = lambda m, n, q: 1\n"
+        "try:\n"
+        "    c._space(1, 2, 2)\n"
+        "except InvariantViolated as exc:\n"
+        "    print('raised', exc)\n"
+    )
+    src = str(Path(glstab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("raised built 6 points of (1,2,2); expected 1")
 
 
 def test_bfs_equals_burnside_on_coset_space():
