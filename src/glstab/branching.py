@@ -70,6 +70,7 @@ class _Ctx:
                 )
         self._down_memo = {}
         self._up_memo = {}
+        self._fresh_memo = {}
 
     def down(self, state: Label):
         """Canonical successors of one remove-at-most-one-box-per-row step."""
@@ -120,7 +121,9 @@ class _Ctx:
         )
         used = self.named_by_degree + active_anon
         next_slot = sum(active_anon.values())
-        fresh = {}  # remaining budget -> fresh column multisets with nonzero weight
+        # remaining budget -> fresh column multisets with nonzero weight; the
+        # weights depend only on the budget and the cuspidals used per degree
+        fresh = self._fresh_memo.setdefault(tuple(sorted(used.items())), {})
 
         def rec(idx, remaining, acc):
             if idx == len(keys):

@@ -6,6 +6,14 @@ base-q digits (a plain bitmask when q = 2), a point is the fixed-width
 concatenation of the m map columns and the n-m reduced-echelon complement
 rows, and each group generator acts through a precomputed full
 matrix-times-vector table.
+
+Row reduction stays out of the per-point loops.  The space build lists the
+complements of each column span once and shares that list among the
+injections with that span.  Each generator's action keeps its own table
+from complement to reduced image (and from map part to image), so it
+reduces each complement subspace at most once.  The span lists live only
+inside one `_space` call and the action tables inside one `_orbit_data`
+call, so no table carries over from one computation to the next.
 """
 
 from __future__ import annotations
@@ -164,11 +172,13 @@ def _space(m, n, q):
     F = field(q)
     B = q**n
     S = (B - 1).bit_length()
+    k_bits = S * (n - m)
     points = []
+    by_span = {}  # column span -> packed complement keys, shared by its injections
 
-    def pack(cols, krows):
+    def pack(vals):
         key = 0
-        for v in (*cols, *krows):
+        for v in vals:
             key = (key << S) | v
         return key
 
@@ -177,19 +187,25 @@ def _space(m, n, q):
         pivots = {_pivot(v, q) for v in basis}
         nonpiv = [j for j in range(n) if j not in pivots]
         col_space = sorted(span)
+        out = []
         stack = [(0, ())]
         while stack:
             idx, rows = stack.pop()
             if idx == len(nonpiv):
-                points.append(pack(cols, _rref_packed(rows, n, q, F)))
+                out.append(pack(_rref_packed(rows, n, q, F)))
                 continue
             ej = q ** nonpiv[idx]
             for u in col_space:
                 stack.append((idx + 1, rows + (_vadd(ej, u, n, q, F),)))
+        return out
 
     def rec(cols, span):
         if len(cols) == m:
-            complements(cols, span)
+            comps = by_span.get(span)
+            if comps is None:
+                comps = by_span[span] = complements(cols, span)
+            high = pack(cols) << k_bits
+            points.extend(high | k for k in comps)
             return
         for v in range(1, B):
             if v not in span:
@@ -220,23 +236,43 @@ def _block_subgroup_generators(ell, q, n):
 
 
 def _make_action(table, m, n, q, S):
+    """The generator's action on packed points.
+
+    A point splits into its map part (the high bits) and its complement (the
+    low S*(n-m) bits), and each part's image is kept in a table local to this
+    generator: map columns go through the matvec table, and a complement's
+    rows go through it and are row-reduced, once per distinct part.
+    """
     F = field(q)
     mask = (1 << S) - 1
     r = n - m
+    k_bits = S * r
+    k_mask = (1 << k_bits) - 1
+    m_image = {}  # map part -> its image, already shifted above the complement
+    k_image = {}  # complement -> its image in reduced echelon form
 
     def act(key):
-        vals = []
-        k = key
-        for _ in range(m + r):
-            vals.append(k & mask)
-            k >>= S
-        vals.reverse()
-        out = 0
-        for v in vals[:m]:
-            out = (out << S) | table[v]
-        for v in _rref_packed([table[v] for v in vals[m:]], n, q, F):
-            out = (out << S) | v
-        return out
+        low = key & k_mask
+        img = k_image.get(low)
+        if img is None:
+            rows, k = [], low
+            for _ in range(r):
+                rows.append(table[k & mask])
+                k >>= S
+            img = 0
+            for v in _rref_packed(rows, n, q, F):
+                img = (img << S) | v
+            k_image[low] = img
+        high = key >> k_bits
+        out = m_image.get(high)
+        if out is None:
+            out, k, shift = 0, high, k_bits
+            for _ in range(m):
+                out |= table[k & mask] << shift
+                k >>= S
+                shift += S
+            m_image[high] = out
+        return out | img
 
     return act
 

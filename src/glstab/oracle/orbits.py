@@ -1,8 +1,8 @@
 """Orbit counting over an explicitly indexed point set.
 
 The default method is breadth-first closure under a list of generator
-actions (callables point -> point); it scales to spaces of about 10^6
-points because only generators, never whole groups, are applied.  Burnside
+actions (callables point -> point); only generators, never whole groups,
+are applied, so the cost is one action call per point and generator.  Burnside
 averaging over all group elements is the independent cross-check for small
 groups.
 """

@@ -131,6 +131,11 @@ CROSS_INSTANCES = [
     (5, 2, 2),
     (6, 2, 2),
     (4, 2, 3),
+    (3, 1, 4),
+    (4, 1, 4),
+    (3, 2, 4),
+    (3, 1, 5),
+    (5, 1, 3),
 ]
 
 # hand computations frozen before the oracle run; both methods agree

@@ -13,6 +13,9 @@ from glstab.degrees import gl_order, vic_hom_count
 from glstab.errors import ActionNotClosed, DimensionMismatch, GuardExceeded
 from glstab.oracle import matrices as mx
 from glstab.oracle.counts import (
+    _block_subgroup_generators,
+    _make_action,
+    _matvec_table,
     _space,
     conjugacy_class_count,
     double_cosets_gl,
@@ -57,6 +60,15 @@ def postcompose(F, h, v):
     return VicMorphism(q=v.q, f=f, K=rows)
 
 
+def pack_vic(v, S):
+    """The packed key of a morphism: map columns, then complement rows, each
+    vector as base-q digits in an S-bit field."""
+    key = 0
+    for vec in (*zip(*v.f), *v.K):
+        key = (key << S) | sum(d * v.q**i for i, d in enumerate(vec))
+    return key
+
+
 def test_enumerate_group_counts():
     assert sum(1 for _ in enumerate_group(1, 2)) == 1
     assert sum(1 for _ in enumerate_group(2, 2)) == 6
@@ -92,9 +104,25 @@ def test_vic_morphisms_are_distinct_and_valid():
 
 
 def test_packed_space_agrees_with_object_enumeration():
-    for m, n, q in [(1, 2, 2), (1, 3, 2), (2, 3, 2), (1, 2, 3), (2, 4, 3)]:
-        points, _ = _space(m, n, q)
+    for m, n, q in [(1, 2, 2), (1, 3, 2), (2, 3, 2), (1, 2, 3), (2, 4, 3), (1, 3, 4)]:
+        points, S = _space(m, n, q)
         assert len(points) == len(set(points)) == vic_hom_count(m, n, q)
+        assert set(points) == {pack_vic(v, S) for v in vic_morphisms(m, n, q)}
+
+
+@pytest.mark.parametrize(
+    "m,n,q,ell",
+    [(1, 3, 2, 1), (2, 3, 2, 1), (2, 4, 2, 2), (1, 3, 3, 0), (2, 3, 3, 1), (1, 3, 4, 1), (1, 2, 4, 0)],
+)
+def test_packed_action_equals_object_action(m, n, q, ell):
+    """Every block generator moves every packed point as composition moves the morphism."""
+    F = field(q)
+    S = (q**n - 1).bit_length()
+    points = vic_morphisms(m, n, q)
+    for h in _block_subgroup_generators(ell, q, n):
+        act = _make_action(_matvec_table(h, n, q, F), m, n, q, S)
+        for v in points:
+            assert act(pack_vic(v, S)) == pack_vic(postcompose(F, h, v), S), (h, v)
 
 
 def test_compose_identity_and_chain():
