@@ -7,6 +7,12 @@ program over canonical states: anonymous same-degree cuspidals are kept as
 an unordered multiset, and a transition that activates fresh anonymous
 cuspidals is weighted by the number of ways to draw distinct concrete
 cuspidals from the pool at field size q.
+
+Transition tables are shared by every call in the process: one context per
+(q, sorted pinned support) memoises results as (state, weight) pairs whose
+states are interned in one table, so each distinct canonical state is one
+Label object.  States carry their pinned keys, so the intern table grows
+with the contexts and memos; at _TABLE_CAP states every table is dropped.
 """
 
 from __future__ import annotations
@@ -56,8 +62,40 @@ def _column_multisets(budget):
     return tuple(weighted_multisets([(d * k, (d, k)) for d, k in cols], budget))
 
 
+# Interned states at which every shared table is dropped: a memory bound,
+# not a setting (m = 7 at q = 2 interns about 10,000 states in one call).
+_TABLE_CAP = 20_000
+_contexts = {}  # (q, sorted pinned support) -> _Ctx
+_states = {}  # canonical state -> the one Label object the memos hold for it
+
+
+def _drop_tables():
+    _contexts.clear()
+    _states.clear()
+
+
+def _context(q, named_context=()):
+    """The shared _Ctx for (q, pinned support); a refused support is not kept."""
+    key = (q, tuple(sorted(named_context)))
+    ctx = _contexts.get(key)
+    if ctx is None:
+        ctx = _contexts[key] = _Ctx(*key)
+    return ctx
+
+
+def _keep(memo, key, out):
+    """Memoise out as (state, weight) pairs over interned states."""
+    pairs = []
+    for state, w in out.items():
+        if len(_states) >= _TABLE_CAP:
+            _drop_tables()
+        pairs.append((_states.setdefault(state, state), w))
+    memo[key] = pairs = tuple(pairs)
+    return pairs
+
+
 class _Ctx:
-    """Per-invocation transition tables for one (q, pinned support) setting."""
+    """Shared transition tables for one (q, pinned support), got from _context."""
 
     def __init__(self, q, named_context=()):
         self.q = q
@@ -94,9 +132,7 @@ class _Ctx:
                     rec(idx + 1, acc)
 
         rec(0, {})
-        out = dict(out)
-        self._down_memo[state] = out
-        return out
+        return _keep(self._down_memo, state, out)
 
     def up(self, state: Label, target_norm: int):
         """Canonical successors of one add-at-most-one-box-per-row step.
@@ -112,8 +148,7 @@ class _Ctx:
         budget = target_norm - state.norm()
         out = defaultdict(int)
         if budget < 0:
-            self._up_memo[memo_key] = {}
-            return {}
+            return _keep(self._up_memo, memo_key, out)
         keys = [IOTA, *self.named_context]
         keys += [k for k, _ in state.entries if k[0] == "anon"]
         active_anon = Counter(
@@ -153,9 +188,7 @@ class _Ctx:
                         rec(idx + 1, remaining - d * b, acc)
 
         rec(0, budget, {})
-        out = dict(out)
-        self._up_memo[memo_key] = out
-        return out
+        return _keep(self._up_memo, memo_key, out)
 
 
 def _rows_close(a, b, r):
@@ -191,19 +224,19 @@ def _pin_anonymous(label: Label) -> Label:
 
 def zigzag_distribution(start: Label, m: int, q: int, named_context=(), target=None, trace=None):
     """Path-count weights over canonical states after m down/up pairs."""
-    ctx = _Ctx(q, named_context)
+    ctx = _context(q, named_context)
     states = {canonical(start): 1}
     n0 = start.norm()
     for s in range(1, m + 1):
         after_down = defaultdict(int)
         for st, w in states.items():
-            for succ, c in ctx.down(st).items():
+            for succ, c in ctx.down(st):
                 after_down[succ] += w * c
         if trace is not None:
             trace.append(("down", dict(after_down)))
         new_states = defaultdict(int)
         for st, w in after_down.items():
-            for succ, c in ctx.up(st, n0 + s).items():
+            for succ, c in ctx.up(st, n0 + s):
                 new_states[succ] += w * c
         if target is not None:
             r = m - s
@@ -337,10 +370,10 @@ def restrict_step(mu: Label, q: int) -> list:
         raise BadParameters("norm of mu must be >= 1")
     mu_p = canonical(_pin_anonymous(mu))
     context = tuple(k for k in mu_p.support() if k[0] == "named")
-    ctx = _Ctx(q, context)
+    ctx = _context(q, context)
     weights = defaultdict(int)
-    for lam, c_down in ctx.down(mu_p).items():
-        for nu_state, c_up in ctx.up(lam, mu_p.norm() - 1).items():
+    for lam, c_down in ctx.down(mu_p):
+        for nu_state, c_up in ctx.up(lam, mu_p.norm() - 1):
             weights[nu_state] += c_down * c_up
     out = []
     for nu_state, w in sorted(weights.items(), key=lambda kv: kv[0].entries):

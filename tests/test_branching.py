@@ -1,6 +1,7 @@
 """Zigzag path counting, one-step restriction, and full decompositions."""
 
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -8,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import glstab
+import glstab.branching as branching
 from glstab.branching import (
     count_zigzag,
     decompose_perm_module,
@@ -197,3 +199,71 @@ def test_distribution_total_weight_is_module_dimension_free_part():
     dist = zigzag_distribution(trivial_label(2), 1, 2)
     assert sum(dist.values()) > 0
     assert all(w > 0 for w in dist.values())
+
+
+def test_refused_support_is_refused_every_time():
+    """A refused pinned support leaves no shared context behind to answer a retry."""
+    nu, mu = Label({anon_key(1, 0): (1,)}), Label({anon_key(1, 0): (2,)})
+    before = dict(branching._contexts)
+    for _ in range(2):
+        with pytest.raises(BadParameters):
+            count_zigzag(nu, mu, 1, 2)
+        with pytest.raises(BadParameters):
+            restrict_step(mu, 2)
+    assert branching._contexts == before
+
+
+def _h_bijection_items():
+    """Every pinned count of the h-bijection sweep at (m, q) = (2, 2), (2, 3)."""
+    items = []
+    for m, q in [(2, 2), (2, 3)]:
+        for e in decompose_perm_module(3 * m, m, q).entries:
+            for ell in (3 * m, 3 * m + 1):
+                items.append((m, q, ell, e.shape))
+    return items
+
+
+def _count(item):
+    m, q, ell, shape = item
+    return count_zigzag(trivial_label(ell - m), pad(label_of_shape(shape), ell), m, q)
+
+
+def test_shared_tables_are_history_independent():
+    """Counts do not depend on what earlier calls left in the shared tables."""
+    items = _h_bijection_items()
+    cold = {}
+    for item in items:
+        branching._drop_tables()
+        cold[item] = _count(item)
+    for seed in (1, 2):
+        order = list(items)
+        random.Random(seed).shuffle(order)
+        assert {item: _count(item) for item in order} == cold
+    mixed = {}
+    for i, item in enumerate(reversed(items)):
+        _m, q, ell, shape = item
+        restrict_step(pad(label_of_shape(shape), ell), q)
+        decompose_perm_module(3 + i % 4, 2, 2 + i % 2)
+        mixed[item] = _count(item)
+    assert mixed == cold
+
+
+def test_shared_tables_stay_within_their_cap(monkeypatch):
+    """Dropping the tables mid-sweep changes no count, and the cap holds."""
+    items = _h_bijection_items()
+    branching._drop_tables()
+    uncapped = {item: _count(item) for item in items}
+    drops = []
+    drop = branching._drop_tables
+
+    def counted_drop():
+        drops.append(True)
+        drop()
+
+    monkeypatch.setattr(branching, "_drop_tables", counted_drop)
+    monkeypatch.setattr(branching, "_TABLE_CAP", 40)
+    drop()
+    for item in items:
+        assert _count(item) == uncapped[item]
+        assert len(branching._states) <= 40
+    assert len(drops) >= 3
