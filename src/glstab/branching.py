@@ -23,7 +23,7 @@ from functools import lru_cache
 
 from . import partitions as pt
 from .degrees import degree_poly, gl_order, prime_power
-from .errors import BadParameters, InvariantViolated, SizeMismatch
+from .errors import BadParameters, InvariantViolated
 from .labels import (
     IOTA,
     Label,
@@ -36,6 +36,7 @@ from .labels import (
     named_key,
     pool_size,
     shape_of,
+    shape_to_json,
     stabilize,
     trivial_label,
     weighted_multisets,
@@ -222,7 +223,13 @@ def _pin_anonymous(label: Label) -> Label:
     return Label(items)
 
 
-def zigzag_distribution(start: Label, m: int, q: int, named_context=(), target=None, trace=None):
+def _pinned(*labels):
+    """The labels with anonymous keys pinned, and their named support (the _Ctx key)."""
+    pinned = [_pin_anonymous(lab) for lab in labels]
+    return pinned, tuple({k for lab in pinned for k in lab.support() if k[0] == "named"})
+
+
+def zigzag_distribution(start: Label, m: int, q: int, named_context=(), target=None):
     """Path-count weights over canonical states after m down/up pairs."""
     ctx = _context(q, named_context)
     states = {canonical(start): 1}
@@ -232,8 +239,6 @@ def zigzag_distribution(start: Label, m: int, q: int, named_context=(), target=N
         for st, w in states.items():
             for succ, c in ctx.down(st):
                 after_down[succ] += w * c
-        if trace is not None:
-            trace.append(("down", dict(after_down)))
         new_states = defaultdict(int)
         for st, w in after_down.items():
             for succ, c in ctx.up(st, n0 + s):
@@ -243,8 +248,6 @@ def zigzag_distribution(start: Label, m: int, q: int, named_context=(), target=N
             new_states = {
                 st: w for st, w in new_states.items() if _can_reach(st, target, r)
             }
-        if trace is not None:
-            trace.append(("up", dict(new_states)))
         states = dict(new_states)
     return states
 
@@ -257,16 +260,14 @@ def count_zigzag(nu: Label, mu: Label, m: int, q: int) -> int:
     """
     prime_power(q)
     if m < 0:
-        raise SizeMismatch(f"step count must be non-negative, got {m}")
+        raise BadParameters(f"step count must be non-negative, got {m}")
     if mu.norm() - nu.norm() != m:
-        raise SizeMismatch(
+        raise BadParameters(
             f"norm difference {mu.norm() - nu.norm()} != step count {m}"
         )
-    nu_p, mu_p = _pin_anonymous(nu), _pin_anonymous(mu)
-    context = {k for k in nu_p.support() if k[0] == "named"}
-    context |= {k for k in mu_p.support() if k[0] == "named"}
+    (nu_p, mu_p), context = _pinned(nu, mu)
     target = canonical(mu_p)
-    dist = zigzag_distribution(nu_p, m, q, tuple(context), target=target)
+    dist = zigzag_distribution(nu_p, m, q, context, target=target)
     return dist.get(target, 0)
 
 
@@ -296,8 +297,6 @@ class Decomposition:
         return {e.shape: (e.multiplicity, e.class_size) for e in self.entries}
 
     def to_json(self) -> dict:
-        from .labels import shape_to_json
-
         return {
             "n": self.n,
             "m": self.m,
@@ -368,8 +367,8 @@ def restrict_step(mu: Label, q: int) -> list:
     prime_power(q)
     if mu.norm() < 1:
         raise BadParameters("norm of mu must be >= 1")
-    mu_p = canonical(_pin_anonymous(mu))
-    context = tuple(k for k in mu_p.support() if k[0] == "named")
+    (mu_p,), context = _pinned(mu)
+    mu_p = canonical(mu_p)
     ctx = _context(q, context)
     weights = defaultdict(int)
     for lam, c_down in ctx.down(mu_p):

@@ -14,7 +14,7 @@ from itertools import combinations, permutations
 
 from . import partitions as pt
 from .degrees import cuspidal_count, prime_power
-from .errors import SizeMismatch
+from .errors import BadParameters
 from .labels import IOTA, Label, key_degree
 
 # concrete cuspidal = (degree, index); (1, 0) is iota
@@ -53,7 +53,7 @@ def count_zigzag_concrete(nu: Label, mu: Label, m: int, q: int) -> int:
     """Exact zigzag path count by brute enumeration over concrete pools."""
     prime_power(q)
     if mu.norm() - nu.norm() != m or m < 0:
-        raise SizeMismatch("norm difference does not match step count")
+        raise BadParameters("norm difference does not match step count")
     n = mu.norm()
     pools = pool_sizes(q, max(n, 1))
     assignment = assign_endpoints(nu, mu)

@@ -16,7 +16,7 @@ from functools import lru_cache
 from math import factorial, perm, prod
 
 from . import partitions as pt
-from .errors import BadParameters, GuardExceeded, InvariantViolated, NotPadded, PadUndefined
+from .errors import BadParameters, GuardExceeded, InvariantViolated
 
 IOTA = ("iota", 1, 0)
 
@@ -116,10 +116,6 @@ def label_arrow_up(a: Label, b: Label) -> bool:
     return all(pt.arrow_up(a.get(k), b.get(k)) for k in keys)
 
 
-def label_arrow_down(b: Label, a: Label) -> bool:
-    return label_arrow_up(a, b)
-
-
 def trivial_label(n) -> Label:
     """The label of the trivial representation of G_n."""
     if n < 0:
@@ -132,7 +128,7 @@ def pad(stable: Label, n: int) -> Label:
     tail = stable.iota
     first = tail[0] if tail else 0
     if n < stable.norm() + first:
-        raise PadUndefined(f"cannot pad norm-{stable.norm()} label to {n}")
+        raise BadParameters(f"cannot pad norm-{stable.norm()} label to {n}")
     return stable.replace(IOTA, (n - stable.norm(),) + tail)
 
 
@@ -142,7 +138,7 @@ def stabilize(label: Label):
     rows = label.iota
     stable = label.replace(IOTA, rows[1:])
     if pad(stable, n) != label:
-        raise NotPadded(f"label is not of padded form: {format_label(label)}")
+        raise BadParameters(f"label is not of padded form: {format_label(label)}")
     return stable, n
 
 
@@ -285,10 +281,10 @@ def enumerate_shapes(n) -> list:
     return sorted(out, key=Shape.sort_key)
 
 
-def enumerate_labels(n, q, bound=8) -> list:
+def enumerate_labels(n, q) -> list:
     """All shapes of norm n with nonzero class size at q, with class sizes."""
-    if n > bound:
-        raise GuardExceeded("label census bound exceeded", n=n, bound=bound)
+    if n > 8:
+        raise GuardExceeded("label census bound exceeded", n=n, bound=8)
     out = []
     for shape in enumerate_shapes(n):
         c = class_size(shape, q)
@@ -304,12 +300,7 @@ def format_partition(rows) -> str:
 def format_shape(shape: Shape) -> str:
     """Human syntax, e.g. 'i:(3,2); 2:(1)x1'."""
     pieces = [f"i:{format_partition(shape.iota)}"]
-    seen = []
-    for d, rows in shape.parts:
-        if (d, rows) in seen:
-            continue
-        seen.append((d, rows))
-        count = shape.parts.count((d, rows))
+    for (d, rows), count in Counter(shape.parts).items():
         pieces.append(f"{d}:{format_partition(rows)}x{count}")
     return "; ".join(pieces)
 
@@ -328,19 +319,10 @@ def format_label(label: Label) -> str:
 
 
 def shape_to_json(shape: Shape) -> dict:
-    others = []
-    seen = []
-    for d, rows in shape.parts:
-        if (d, rows) in seen:
-            continue
-        seen.append((d, rows))
-        others.append(
-            {
-                "degree": d,
-                "partition": list(rows),
-                "count": shape.parts.count((d, rows)),
-            }
-        )
+    others = [
+        {"degree": d, "partition": list(rows), "count": count}
+        for (d, rows), count in Counter(shape.parts).items()
+    ]
     return {"iota": list(shape.iota), "others": others}
 
 
@@ -354,7 +336,9 @@ def shape_from_json(data) -> Shape:
 def parse_shape(text: str) -> Shape:
     """Parse human syntax: 'i:(3,2); 2:(1)x1' (iota also spelled 'iota').
 
-    Iota appears at most once and takes no count; other counts are >= 1.
+    Iota appears at most once and takes no count; other parts need a degree
+    and a count >= 1 and a nonempty partition.  A norm above
+    partitions.ENUM_BOUND raises GuardExceeded before any part is repeated.
     """
     iota = None
     parts = []
@@ -364,14 +348,17 @@ def parse_shape(text: str) -> Shape:
         if not (rows.startswith("(") and rows.endswith(")")):
             raise BadParameters(f"bad partition syntax in {piece!r}")
         body = rows[1:-1].strip()
-        rows = tuple(int(v) for v in body.split(",")) if body else ()
+        rows = pt.as_partition(int(v) for v in body.split(",")) if body else ()
         count = int(mult) if x else 1
         if head in ("i", "iota", "ι"):
             if x or iota is not None:
                 raise BadParameters(f"iota takes one partition and no count: {piece!r}")
             iota = rows
-        elif count < 1:
-            raise BadParameters(f"count must be >= 1 in {piece!r}")
+        elif count < 1 or int(head) < 1 or not rows:
+            raise BadParameters(f"need degree >= 1, a nonempty partition, count >= 1 in {piece!r}")
         else:
-            parts.extend([(int(head), rows)] * count)
-    return make_shape(iota or (), parts)
+            parts.append(((int(head), rows), count))
+    norm = sum(iota or ()) + sum(d * sum(rows) * count for (d, rows), count in parts)
+    if norm > pt.ENUM_BOUND:
+        raise GuardExceeded("shape norm above the enumeration bound", norm=norm, bound=pt.ENUM_BOUND)
+    return make_shape(iota or (), [part for part, count in parts for _ in range(count)])

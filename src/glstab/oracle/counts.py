@@ -18,7 +18,6 @@ call, so no table carries over from one computation to the next.
 
 from __future__ import annotations
 
-import warnings
 from functools import lru_cache
 
 from ..degrees import gl_order, vic_hom_count
@@ -328,11 +327,9 @@ def weakstab_map_surjective(ell, m, r, q) -> bool:
     """Does every double-coset class at size n+1 come from one at size n?
 
     Classes at size n = ell + r are embedded via g -> diag(g, 1) and located
-    among the classes at n + 1 under the one-larger block subgroup.
+    among the classes at n + 1 under the one-larger block subgroup.  The map
+    is onto once r >= m + min(m, ell); a smaller r is computed all the same.
     """
-    s = m + min(m, ell)
-    if r < s:
-        warnings.warn(f"r={r} below stabilization threshold {s}; surjectivity not guaranteed")
     n = ell + r
     reps, _, S_old = _orbit_data(m, n, q, ell)
     reps1, labels1, S_new = _orbit_data(m, n + 1, q, ell)

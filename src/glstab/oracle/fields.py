@@ -97,15 +97,6 @@ class Field:
     def sub(self, a, b):
         return self.add[a][self.neg[b]]
 
-    def pow(self, a, e):
-        out = 1
-        for _ in range(e):
-            out = self.mul[out][a]
-        return out
-
-    def frobenius(self, a):
-        return self.pow(a, self.p)
-
     def primitive_element(self):
         for a in range(2, self.q):
             x, order = a, 1

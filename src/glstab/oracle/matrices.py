@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from itertools import product
 
-from ..errors import BadParameters, DimensionMismatch
+from ..errors import BadParameters
 from .fields import Field
 
 
@@ -20,7 +20,7 @@ def mat_mul(F: Field, a, b):
     if not a or not b:
         return ()
     if len(a[0]) != len(b):
-        raise DimensionMismatch(f"cannot multiply {len(a)}x{len(a[0])} by {len(b)}x{len(b[0])}")
+        raise BadParameters(f"cannot multiply {len(a)}x{len(a[0])} by {len(b)}x{len(b[0])}")
     bt = tuple(zip(*b))
     out = []
     for row in a:
@@ -32,10 +32,6 @@ def mat_mul(F: Field, a, b):
             orow.append(acc)
         out.append(tuple(orow))
     return tuple(out)
-
-
-def mat_vec(F: Field, a, v):
-    return tuple(r[0] for r in mat_mul(F, a, tuple((x,) for x in v)))
 
 
 def rref(F: Field, mat):
@@ -67,7 +63,7 @@ def rank(F: Field, mat) -> int:
 def inverse(F: Field, mat):
     n = len(mat)
     if any(len(r) != n for r in mat):
-        raise DimensionMismatch("inverse of non-square matrix")
+        raise BadParameters("inverse of non-square matrix")
     aug = tuple(row + irow for row, irow in zip(mat, identity(n)))
     red, pivots = rref(F, aug)
     if pivots[:n] != tuple(range(n)):

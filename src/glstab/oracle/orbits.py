@@ -4,14 +4,14 @@ The default method is breadth-first closure under a list of generator
 actions (callables point -> point); only generators, never whole groups,
 are applied, so the cost is one action call per point and generator.  Burnside
 averaging over all group elements is the independent cross-check for small
-groups.
+groups.  An action that maps a point outside the set raises InvariantViolated.
 """
 
 from __future__ import annotations
 
 from collections import deque
 
-from ..errors import ActionNotClosed, InvariantViolated
+from ..errors import InvariantViolated
 
 
 def orbit_partition(points, actions):
@@ -33,7 +33,7 @@ def orbit_partition(points, actions):
                 if img in labels:
                     continue
                 if img not in index:
-                    raise ActionNotClosed(f"image {img!r} left the point set")
+                    raise InvariantViolated(f"image {img!r} left the point set")
                 labels[img] = orbit_id
                 frontier.append(img)
     return reps, labels
@@ -52,7 +52,7 @@ def burnside_count(points, element_actions) -> int:
         for p in points:
             img = act(p)
             if img not in index:
-                raise ActionNotClosed(f"image {img!r} left the point set")
+                raise InvariantViolated(f"image {img!r} left the point set")
             if img == p:
                 total += 1
     orbits, rem = divmod(total, order)

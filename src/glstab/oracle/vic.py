@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from ..degrees import vic_hom_count
-from ..errors import BadParameters, DimensionMismatch, GuardExceeded, InvariantViolated
+from ..errors import BadParameters, GuardExceeded, InvariantViolated
 from .fields import Field, field
 from .matrices import mat_mul, rank, rref
 
@@ -67,9 +67,9 @@ def standard_morphism(m, n, q) -> VicMorphism:
 def compose(g: VicMorphism, f: VicMorphism) -> VicMorphism:
     """(g, L) after (f, K): map g.f, complement g(K) + L."""
     if g.q != f.q:
-        raise DimensionMismatch("morphisms over different fields")
+        raise BadParameters("morphisms over different fields")
     if g.m != f.n:
-        raise DimensionMismatch(f"cannot compose {g.m} <- with -> {f.n}")
+        raise BadParameters(f"cannot compose {g.m} <- with -> {f.n}")
     F = field(g.q)
     if f.m:
         comp = mat_mul(F, g.f, f.f)

@@ -9,7 +9,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import combinations
 
-from .errors import GuardExceeded
+from .errors import BadParameters, GuardExceeded
 
 ENUM_BOUND = 60
 
@@ -20,9 +20,9 @@ def as_partition(rows) -> tuple:
     while rows and rows[-1] == 0:
         rows = rows[:-1]
     if any(r < 1 for r in rows):
-        raise ValueError(f"negative or interior-zero row in {rows}")
+        raise BadParameters(f"negative or interior-zero row in {rows}")
     if any(rows[i] < rows[i + 1] for i in range(len(rows) - 1)):
-        raise ValueError(f"rows not weakly decreasing: {rows}")
+        raise BadParameters(f"rows not weakly decreasing: {rows}")
     return rows
 
 
@@ -44,13 +44,8 @@ def arrow_up(lam, mu) -> bool:
     return True
 
 
-def arrow_down(mu, lam) -> bool:
-    """True iff lam removes at most one box from each row of mu."""
-    return arrow_up(lam, mu)
-
-
 def down_set(mu) -> list:
-    """All lam with arrow_down(mu, lam), i.e. remove <=1 box per row."""
+    """All lam with arrow_up(lam, mu), i.e. remove <=1 box per row of mu."""
     k = len(mu)
     out = set()
     for r in range(k + 1):
@@ -120,12 +115,12 @@ def _partitions(n, max_part):
     return tuple(out)
 
 
-def partitions_of(n, bound=ENUM_BOUND) -> list:
+def partitions_of(n) -> list:
     """All partitions of n, each once."""
     if n < 0:
-        raise ValueError("n must be non-negative")
-    if n > bound:
-        raise GuardExceeded("partition enumeration bound exceeded", n=n, bound=bound)
+        raise BadParameters("n must be non-negative")
+    if n > ENUM_BOUND:
+        raise GuardExceeded("partition enumeration bound exceeded", n=n, bound=ENUM_BOUND)
     return list(_partitions(n, n))
 
 

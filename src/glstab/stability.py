@@ -1,14 +1,14 @@
-"""Multiplicity stability: stable decompositions, empirical onset, and the
-consecutive-size path-count equality behind the 3m bound."""
+"""Multiplicity stability: stable decompositions, the observed onset of
+constancy, the consecutive-size path-count equality behind the 3m bound,
+and the support bounds of stable shapes."""
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 from .branching import Decomposition, count_zigzag, decompose_perm_module
 from .errors import BadParameters
-from .labels import IOTA, Label, pad, trivial_label
+from .labels import Label, pad, trivial_label
 
 
 def stable_decomposition(m: int, q: int) -> Decomposition:
@@ -62,16 +62,14 @@ def empirical_stability_degree(m: int, q: int, n_max: int) -> StabilityReport:
     return report
 
 
-def check_h_bijection(m: int, ell: int, q: int, lam: Label, strict: bool = True) -> bool:
+def check_h_bijection(m: int, ell: int, q: int, lam: Label) -> bool:
     """Path-count equality between consecutive sizes ell and ell + 1.
 
-    Guaranteed to hold for ell >= 3m; below the threshold the comparison is
-    still computed, with a warning, unless strict.
+    The paper proves it for ell >= 3m; below that threshold the call raises
+    BadParameters.
     """
     if ell < 3 * m:
-        if strict:
-            raise BadParameters(f"ell={ell} below stability threshold {3 * m}")
-        warnings.warn(f"ell={ell} below stability threshold {3 * m}; equality not guaranteed")
+        raise BadParameters(f"ell={ell} below stability threshold {3 * m}")
     lhs = count_zigzag(trivial_label(ell - m), pad(lam, ell), m, q)
     rhs = count_zigzag(trivial_label(ell + 1 - m), pad(lam, ell + 1), m, q)
     return lhs == rhs
@@ -86,27 +84,3 @@ def support_bounds_check(dec: Decomposition) -> bool:
             return False
     return True
 
-
-def first_row_margin_holds(nu: Label, mu: Label, m: int, q: int) -> bool:
-    """Instrumented check: along every state reachable from nu, the iota
-    partition keeps first row at least one more than the second."""
-    from .branching import zigzag_distribution, _pin_anonymous
-    from .labels import canonical
-
-    trace = []
-    nu_p, mu_p = _pin_anonymous(nu), _pin_anonymous(mu)
-    context = tuple(
-        k
-        for lab in (nu_p, mu_p)
-        for k in lab.support()
-        if k[0] == "named"
-    )
-    zigzag_distribution(nu_p, m, q, tuple(set(context)), target=canonical(mu_p), trace=trace)
-    for _phase, states in trace:
-        for state in states:
-            rows = state.get(IOTA)
-            first = rows[0] if rows else 0
-            second = rows[1] if len(rows) > 1 else 0
-            if first - 1 < second:
-                return False
-    return True

@@ -9,7 +9,6 @@ to hide a failure.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 from .branching import count_zigzag, decompose_perm_module
@@ -313,9 +312,4 @@ ALL_CHECKS = [fn for fns in SUITES.values() for fn in fns]
 def run_suite(suite=None, quick=False):
     """Run the requested checks; returns the flat list of CheckResults."""
     checks = SUITES[suite] if suite else ALL_CHECKS
-    results = []
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        for fn in checks:
-            results.extend(fn(quick=quick))
-    return results
+    return [r for fn in checks for r in fn(quick=quick)]

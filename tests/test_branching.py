@@ -17,7 +17,7 @@ from glstab.branching import (
     zigzag_distribution,
 )
 from glstab.degrees import gl_order
-from glstab.errors import BadParameters, SizeMismatch
+from glstab.errors import BadParameters
 from glstab.labels import (
     IOTA,
     Label,
@@ -37,7 +37,7 @@ def test_zigzag_zero_steps():
 
 
 def test_zigzag_size_mismatch():
-    with pytest.raises(SizeMismatch):
+    with pytest.raises(BadParameters):
         count_zigzag(trivial_label(1), trivial_label(3), 1, 2)
 
 

@@ -136,6 +136,60 @@ def test_large_prime_q_is_bounded():
     assert code == 2
 
 
+def test_dims_table_is_bounded():
+    """Huge tables are refused up front, in bounded time, with the limits."""
+    src = str(Path(glstab.__file__).resolve().parents[1])
+    for m in ("0", "1"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "glstab.cli", "dims", "--m", m, "--q", "2",
+             "--n-max", "100000000"],
+            env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True,
+            text=True,
+            timeout=10,
+        )
+        assert (proc.returncode, proc.stdout) == (2, "")
+        err = json.loads(proc.stderr)
+        assert err["error"] == "guard_exceeded"
+        assert err["limits"]["n_max"] == 100000000
+
+
+def test_largest_dims_values_print():
+    # 25 * (2 * 278 - 25) * log10(2) = 3996 digits at most, under the 4000 bound
+    code, out = run_cli(["dims", "--m", "25", "--q", "2", "--n-max", "278", "--format", "csv"])
+    assert code == 0
+    assert len(out.split("\r\n")[-2].split(",")[1]) > 3990
+    with redirect_stderr(io.StringIO()):
+        assert run_cli(["dims", "--m", "25", "--q", "2", "--n-max", "279"])[0] == 2
+        assert run_cli(["dims", "--m", "0", "--q", "2", "--n-max", "256"])[0] == 2
+    assert run_cli(["dims", "--m", "0", "--q", "2", "--n-max", "255"])[0] == 0
+
+
+def test_shape_count_is_bounded_before_expansion():
+    err = io.StringIO()
+    with redirect_stderr(err):
+        code, out = run_cli(["zigzag", "--from", "i:()", "--to", "2:(1)x100000", "--q", "2"])
+    assert (code, out) == (2, "")
+    payload = json.loads(err.getvalue())
+    assert payload["error"] == "guard_exceeded"
+    assert payload["limits"] == {"norm": 200000, "bound": 60}
+
+
+def test_action_leaving_the_space_exits_1(monkeypatch):
+    import glstab.oracle.counts as counts
+
+    monkeypatch.setattr(counts, "_make_action", lambda *args: (lambda key: -1))
+    counts._orbit_data.cache_clear()
+    err = io.StringIO()
+    try:
+        with redirect_stderr(err):
+            code, out = run_cli(["oracle", "double-cosets", "--n", "3", "--m", "1", "--q", "2"])
+    finally:
+        counts._orbit_data.cache_clear()
+    assert (code, out) == (1, "")
+    assert json.loads(err.getvalue())["error"] == "invariant_violated"
+
+
 def test_guard_violation_exits_2_with_reason():
     code, _ = run_cli(["oracle", "vic-count", "--m", "2", "--n", "7", "--q", "2"])
     assert code == 2

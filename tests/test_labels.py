@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from glstab import partitions as pt
-from glstab.errors import BadParameters, InvariantViolated, PadUndefined
+from glstab.errors import BadParameters, GuardExceeded, InvariantViolated
 from glstab.labels import (
     IOTA,
     Label,
@@ -18,7 +18,6 @@ from glstab.labels import (
     enumerate_labels,
     enumerate_shapes,
     format_shape,
-    label_arrow_down,
     label_arrow_up,
     label_of_shape,
     make_shape,
@@ -78,7 +77,7 @@ def test_trivial_label():
 def test_pad_stabilize_round_trip(lam, n):
     first = lam.iota[0] if lam.iota else 0
     if n < lam.norm() + first:
-        with pytest.raises(PadUndefined):
+        with pytest.raises(BadParameters):
             pad(lam, n)
         return
     padded = pad(lam, n)
@@ -113,6 +112,11 @@ def test_padding_commutes_with_arrow(lam, slack):
     assert label_arrow_up(pad(lam, n), pad(lam, n + 1))
 
 
+def arrow_down(b, a):
+    """Keywise remove-at-most-one-box-per-row relation from b to a."""
+    return label_arrow_up(a, b)
+
+
 def test_tilde_preserves_arrows():
     """Raising the first trivial-character row commutes with both arrows."""
     for k in range(4):
@@ -123,8 +127,8 @@ def test_tilde_preserves_arrows():
             for b in upper:
                 if label_arrow_up(a, b):
                     assert label_arrow_up(tilde(a), tilde(b))
-                if label_arrow_down(b, a):
-                    assert label_arrow_down(tilde(b), tilde(a))
+                if arrow_down(b, a):
+                    assert arrow_down(tilde(b), tilde(a))
 
 
 def test_canonical_renumbers_anonymous_slots():
@@ -205,13 +209,28 @@ def test_parse_format_round_trip():
 
 @given(shapes)
 def test_parse_format_round_trip_generated(shape):
-    assert parse_shape(format_shape(shape)) == shape
+    if shape.norm() > pt.ENUM_BOUND:
+        with pytest.raises(GuardExceeded):
+            parse_shape(format_shape(shape))
+    else:
+        assert parse_shape(format_shape(shape)) == shape
 
 
 @pytest.mark.parametrize("text", ["i:(1)x3", "2:(1)x0", "2:(1)x-2", "i:(2); i:(5)"])
 def test_parse_shape_rejects_malformed_counts(text):
     with pytest.raises(BadParameters):
         parse_shape(text)
+
+
+def test_parse_shape_bounds_the_norm_before_expanding_counts():
+    assert len(parse_shape("1:(1)x60").parts) == 60
+    for text in ["1:(1)x61", "i:(61)", "i:(30); 2:(1)x100000", "2:(1)x" + "9" * 4000]:
+        with pytest.raises(GuardExceeded):
+            parse_shape(text)
+    # a part that adds nothing to the norm cannot carry a huge count either
+    for text in ["0:(1)x100000000", "2:()x100000000", "-1:(1)x100000000"]:
+        with pytest.raises(BadParameters):
+            parse_shape(text)
 
 
 def test_parse_shape_accepts_iota_spellings():

@@ -10,7 +10,7 @@ import pytest
 
 import glstab
 from glstab.degrees import gl_order, vic_hom_count
-from glstab.errors import ActionNotClosed, DimensionMismatch, GuardExceeded
+from glstab.errors import BadParameters, GuardExceeded, InvariantViolated
 from glstab.oracle import matrices as mx
 from glstab.oracle.counts import (
     _block_subgroup_generators,
@@ -130,7 +130,7 @@ def test_compose_identity_and_chain():
     assert compose(standard_morphism(2, 2, 2), f) == f
     chained = compose(standard_morphism(2, 3, 2), f)
     assert chained == standard_morphism(1, 3, 2)
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(BadParameters):
         compose(f, standard_morphism(2, 3, 2))
 
 
@@ -160,12 +160,15 @@ def test_orbit_count_transitive():
     """The full group on nonzero vectors of the plane: one orbit."""
     F = field(2)
     points = [(0, 1), (1, 0), (1, 1)]
-    actions = [lambda v, g=g: mx.mat_vec(F, g, v) for g in group_generators(2, 2)]
+    actions = [
+        lambda v, g=g: tuple(r[0] for r in mx.mat_mul(F, g, tuple((x,) for x in v)))
+        for g in group_generators(2, 2)
+    ]
     assert orbit_count(points, actions) == 1
 
 
 def test_orbit_count_raises_when_not_closed():
-    with pytest.raises(ActionNotClosed):
+    with pytest.raises(InvariantViolated):
         orbit_count([1, 2, 3], [lambda x: x + 1])
 
 
@@ -237,9 +240,8 @@ def test_weakstab_stabilization():
 def test_weakstab_surjectivity_threshold():
     assert weakstab_map_surjective(1, 1, 2, 2)
     assert weakstab_map_surjective(1, 1, 3, 2)
-    with pytest.warns(UserWarning):
-        # below the threshold s = 2: computed anyway, with a warning
-        weakstab_map_surjective(1, 1, 1, 2)
+    # below the threshold s = 2 the answer is computed all the same
+    assert isinstance(weakstab_map_surjective(1, 1, 1, 2), bool)
 
 
 def test_conjugacy_class_counts():

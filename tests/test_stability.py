@@ -1,16 +1,20 @@
 """Stability reports, the consecutive-size path-count equality, support bounds."""
 
-import warnings
-
 import pytest
 
-from glstab.branching import Decomposition, DecompositionEntry, decompose_perm_module
+from glstab.branching import (
+    Decomposition,
+    DecompositionEntry,
+    _can_reach,
+    _context,
+    _pin_anonymous,
+    decompose_perm_module,
+)
 from glstab.errors import BadParameters
-from glstab.labels import IOTA, Label, label_of_shape, make_shape, trivial_label
+from glstab.labels import IOTA, Label, canonical, label_of_shape, make_shape, pad, trivial_label
 from glstab.stability import (
     check_h_bijection,
     empirical_stability_degree,
-    first_row_margin_holds,
     stable_decomposition,
     support_bounds_check,
 )
@@ -69,10 +73,6 @@ def test_h_bijection_strictness():
     lam = Label({IOTA: (1,)})
     with pytest.raises(BadParameters):
         check_h_bijection(1, 2, 2, lam)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        check_h_bijection(1, 2, 2, lam, strict=False)
-    assert any("threshold" in str(w.message) for w in caught)
 
 
 def test_h_bijection_everywhere_in_stable_support():
@@ -102,10 +102,37 @@ def test_support_bounds_adversarial_entry():
         assert not support_bounds_check(dec)
 
 
-def test_first_row_margin_in_stable_range():
-    from glstab.labels import pad
+def margin_walk(m, q, tail, n):
+    """Walk the DP states from trivial_label(n - m) towards pad(tail, n), as
+    count_zigzag does (pinned support, target pruning after each up step).
 
+    Returns (states visited, whether every one has an iota partition whose
+    first row is longer than its second): the margin that keeps tilde
+    well defined along the paths.
+    """
+    nu = _pin_anonymous(trivial_label(n - m))
+    target = canonical(_pin_anonymous(pad(label_of_shape(make_shape(tail, ())), n)))
+    ctx = _context(q, tuple(k for k in target.support() if k[0] == "named"))
+    states, visited, holds = {canonical(nu)}, 0, True
+    for s in range(1, m + 1):
+        after_down = {succ for st in states for succ, _ in ctx.down(st)}
+        states = {
+            succ
+            for st in after_down
+            for succ, _ in ctx.up(st, nu.norm() + s)
+            if _can_reach(succ, target, m - s)
+        }
+        for state in after_down | states:
+            rows = state.get(IOTA) + (0, 0)
+            visited += 1
+            holds = holds and rows[0] > rows[1]
+    return visited, holds
+
+
+def test_first_row_margin_in_stable_range():
     for m, q, tail in [(1, 2, (1,)), (2, 2, (2,)), (2, 3, (1, 1))]:
-        n = 3 * m
-        lam = label_of_shape(make_shape(tail, ()))
-        assert first_row_margin_holds(trivial_label(n - m), pad(lam, n), m, q)
+        visited, holds = margin_walk(m, q, tail, 3 * m)
+        assert visited > 0 and holds, (m, q, tail)
+        # one below the threshold the margin fails somewhere on the walk
+        visited, holds = margin_walk(m, q, tail, 3 * m - 1)
+        assert visited > 0 and not holds, (m, q, tail)
