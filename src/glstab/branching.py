@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import partitions as pt
-from .degrees import degree_poly, gl_order, prime_power
+from .degrees import degree_poly, prime_power, vic_hom_count
 from .errors import BadParameters, InvariantViolated
 from .labels import (
     IOTA,
@@ -344,7 +344,7 @@ def decompose_perm_module(n: int, m: int, q: int) -> Decomposition:
     dec = Decomposition(n=n, m=m, q=q, entries=tuple(entries))
     if dec.stable_map().get(Shape(), (0,))[0] != 1:
         raise InvariantViolated(f"trivial constituent not exactly once in ({n},{m},{q})")
-    if dec.dimension() != gl_order(n, q) // gl_order(n - m, q):
+    if dec.dimension() != vic_hom_count(m, n, q):
         raise InvariantViolated(f"dimension identity fails for ({n},{m},{q})")
     return dec
 

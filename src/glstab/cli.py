@@ -17,7 +17,7 @@ import math
 import sys
 
 from .branching import count_zigzag, decompose_perm_module
-from .degrees import p_polynomial, prime_power, vic_hom_count
+from .degrees import p_polynomial, poly_value, prime_power, vic_hom_count
 from .errors import BadParameters, GuardExceeded, InvariantViolated
 from .labels import format_shape, label_of_shape, parse_shape
 from .oracle.counts import (
@@ -31,17 +31,23 @@ from .stability import empirical_stability_degree
 from .verification import SUITES, run_suite
 
 USAGE_ERROR, CHECK_FAILURE, OK = 2, 1, 0
-# dims tables: at most 256 rows, numbers below 10**4000 (the default int-to-str
-# limit is 4300 digits)
-DIMS_ROWS, DIMS_DIGITS = 256, 4000
+# output of dims, stability and decompose: at most 256 sizes, numbers below
+# 10**4000 (the default int-to-str limit is 4300 digits)
+MAX_ROWS, MAX_DIGITS = 256, 4000
 
 
 def _check_q(q, oracle=False):
-    if q.bit_length() > 63:
-        raise BadParameters("q must fit in 64 bits")
     prime_power(q)
     if oracle and q > MAX_Q:
         raise BadParameters(f"oracle commands need q <= {MAX_Q}")
+
+
+def _check_size(m, n_max, q, rows):
+    """Refuse more than MAX_ROWS sizes or numbers of more than MAX_DIGITS digits: each
+    is at most vic_hom_count(m, n, q) < q**(m * (2n - m)) or a dims denominator q**(m * m)."""
+    if rows > MAX_ROWS or m * max(m, 2 * n_max - m) * math.log10(q) > MAX_DIGITS:
+        limits = dict(m=m, n_max=n_max, q=q, rows=MAX_ROWS, digits=MAX_DIGITS)
+        raise GuardExceeded("output too large", **limits)
 
 
 def _emit(text, out):
@@ -70,6 +76,7 @@ def _csv(headers, rows):
 def cmd_decompose(args, out):
     _check_q(args.q)
     n = args.n if args.n is not None else 3 * args.m
+    _check_size(args.m, n, args.q, rows=1)
     # decompose_perm_module raises InvariantViolated unless the dimension identity holds
     dec = decompose_perm_module(n, args.m, args.q)
     oracle_sumsq = None
@@ -106,6 +113,7 @@ def cmd_decompose(args, out):
 
 def cmd_stability(args, out):
     _check_q(args.q)
+    _check_size(args.m, args.n_max, args.q, rows=args.n_max - args.m + 1)
     report = empirical_stability_degree(args.m, args.q, args.n_max)
     if args.format == "json":
         _emit(json.dumps(report.to_json(), sort_keys=True), out)
@@ -152,13 +160,7 @@ def cmd_verify(args, out):
 
 def cmd_dims(args, out):
     _check_q(args.q)
-    # every printed number is below q**e, as vic_hom_count(m, n, q) < q**(m*(2n - m))
-    e = args.m * max(args.m, 2 * args.n_max - args.m)
-    if args.n_max - args.m >= DIMS_ROWS or e * math.log10(args.q) > DIMS_DIGITS:
-        raise GuardExceeded(
-            "dims table too large", m=args.m, n_max=args.n_max, q=args.q,
-            rows=DIMS_ROWS, digits=DIMS_DIGITS,
-        )
+    _check_size(args.m, args.n_max, args.q, rows=args.n_max - args.m + 1)
     poly = p_polynomial(args.m, args.q)
     rows = []
     for n in range(args.m, args.n_max + 1):
@@ -166,12 +168,13 @@ def cmd_dims(args, out):
         oracle = "SKIPPED"
         if args.q <= MAX_Q and count <= 2**16:
             oracle = str(len(vic_morphisms(args.m, n, args.q)))
-        rows.append((n, str(poly.evaluate(args.q**n)), str(count), oracle))
+        rows.append((n, str(poly_value(poly, args.q**n)), str(count), oracle))
     if args.format == "json":
+        coeffs = {str(e): f"{c.numerator}/{c.denominator}" for e, c in poly.items()}
         payload = {
             "m": args.m,
             "q": args.q,
-            "polynomial": poly.to_json(),
+            "polynomial": {"coeffs": coeffs},
             "rows": [
                 {"n": n, "p_value": p, "count": c, "oracle": o} for n, p, c, o in rows
             ],
@@ -200,10 +203,9 @@ def cmd_oracle(args, out):
         return _emit_value(conjugacy_class_count(args.n, args.q), args.format, out)
     if args.oracle_cmd == "vic-count":
         return _emit_value(len(vic_morphisms(args.m, args.n, args.q)), args.format, out)
-    # weakstab: one count per r
-    values = [
-        weakstab_cosets(args.l, args.m, r, args.q) for r in range(args.m, args.r_max + 1)
-    ]
+    # weakstab: one count per r, the largest r first so that a size guard refuses at once
+    rs = range(args.r_max, args.m - 1, -1)
+    values = [weakstab_cosets(args.l, args.m, r, args.q) for r in rs][::-1]
     if args.format == "json":
         _emit(json.dumps({"values": [str(v) for v in values]}), out)
     else:

@@ -1,11 +1,13 @@
 """Group orders, cuspidal counts, Green degrees and the dimension polynomial
 of the free module on m generators.
 
-Green degrees are kept in factored form and evaluated in exact integer
-arithmetic; degree values overflow 64 bits quickly, so they are Python ints.
-QPoly, a polynomial with rational coefficients, remains only for the
-polynomials that are printed or compared as polynomials: the group order and
-the point-count polynomial.
+Everything is exact integer arithmetic.  One q-falling factorial,
+vic_hom_count(m, n, q) = |G_n| / |G_{n-m}|, also gives the group order.
+Green degrees are kept in factored form and evaluated with one exact
+division after equal factors cancel; degree values overflow 64 bits
+quickly, so they are Python ints.  The one rational polynomial is the
+point-count polynomial that `glstab dims` prints, an {exponent: Fraction}
+dict.
 """
 
 from __future__ import annotations
@@ -17,60 +19,6 @@ from math import prod
 from . import partitions as pt
 from .errors import BadParameters, GuardExceeded, InvariantViolated
 from .labels import Shape, enumerate_labels
-
-
-class QPoly:
-    """Polynomial with exact rational coefficients, sparse by exponent."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs=()):
-        items = coeffs.items() if hasattr(coeffs, "items") else coeffs
-        self.coeffs = {int(e): Fraction(c) for e, c in items if c != 0}
-
-    @classmethod
-    def const(cls, c):
-        return cls({0: c})
-
-    @classmethod
-    def monomial(cls, exp, c=1):
-        return cls({exp: c})
-
-    def __add__(self, other):
-        other = other if isinstance(other, QPoly) else QPoly.const(other)
-        out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            out[e] = out.get(e, Fraction(0)) + c
-        return QPoly(out)
-
-    def __sub__(self, other):
-        other = other if isinstance(other, QPoly) else QPoly.const(other)
-        return self + QPoly({e: -c for e, c in other.coeffs.items()})
-
-    def __mul__(self, other):
-        other = other if isinstance(other, QPoly) else QPoly.const(other)
-        out = {}
-        for e1, c1 in self.coeffs.items():
-            for e2, c2 in other.coeffs.items():
-                out[e1 + e2] = out.get(e1 + e2, Fraction(0)) + c1 * c2
-        return QPoly(out)
-
-    def __eq__(self, other):
-        other = other if isinstance(other, QPoly) else QPoly.const(other)
-        return self.coeffs == other.coeffs
-
-    def evaluate(self, x):
-        """Exact evaluation; returns an int when the value is integral."""
-        val = sum((c * Fraction(x) ** e for e, c in self.coeffs.items()), Fraction(0))
-        return int(val) if val.denominator == 1 else val
-
-    def to_json(self) -> dict:
-        return {
-            "coeffs": {
-                str(e): f"{c.numerator}/{c.denominator}"
-                for e, c in sorted(self.coeffs.items())
-            }
-        }
 
 
 # Miller-Rabin bases: the least strong pseudoprime to all twelve is about
@@ -109,16 +57,8 @@ def prime_power(q):
     raise BadParameters(f"{q} is not a prime power")
 
 
-def gl_order_poly(n) -> QPoly:
-    """Order of the general linear group as a polynomial in q."""
-    out = QPoly.const(1)
-    for i in range(n):
-        out = out * (QPoly.monomial(n) - QPoly.monomial(i))
-    return out
-
-
 def gl_order(n, q) -> int:
-    return prod(q**n - q**i for i in range(n)) if n else 1
+    return vic_hom_count(n, n, q)
 
 
 def _mobius(n) -> int:
@@ -162,8 +102,15 @@ class GreenDegree:
         self.shift, self.norm, self.hook_exps = shift, norm, hook_exps
 
     def evaluate(self, q) -> int:
-        num = q**self.shift * prod(q**i - 1 for i in range(1, self.norm + 1))
-        deg, rem = divmod(num, prod(q**e - 1 for e in self.hook_exps))
+        # equal factors q^e - 1 cancel first; the reduced quotient is integral iff the original is
+        ups, downs = set(range(1, self.norm + 1)), []
+        for e in self.hook_exps:
+            if e in ups:
+                ups.remove(e)
+            else:
+                downs.append(e)
+        num = q**self.shift * prod(q**i - 1 for i in ups)
+        deg, rem = divmod(num, prod(q**e - 1 for e in downs))
         if rem:
             raise InvariantViolated(
                 f"inexact Green degree quotient at q={q}: shift={self.shift},"
@@ -205,14 +152,19 @@ def vic_hom_count(m, n, q) -> int:
     return q ** (m * (n - m)) * prod(q**n - q**i for i in range(m))
 
 
-def p_polynomial(m, q) -> QPoly:
-    """Polynomial P with P(q^n) = vic_hom_count(m, n, q) for n >= m.
+def p_polynomial(m, q) -> dict:
+    """P with P(q^n) = vic_hom_count(m, n, q) for n >= m, as {exponent: Fraction}.
 
-    The variable of the returned polynomial stands for q^n.
+    P(x) = x^m * prod_{i<m} (x - q^i) / q^(m^2); the variable x stands for q^n.
     """
     if m < 0:
         raise BadParameters("m must be non-negative")
-    out = QPoly.monomial(m, Fraction(1, q ** (m * m)))
+    coeffs = [1]  # prod_{i<m} (x - q^i), constant term first
     for i in range(m):
-        out = out * (QPoly.monomial(1) - q**i)
-    return out
+        coeffs = [a - q**i * b for a, b in zip([0] + coeffs, coeffs + [0])]
+    return {m + e: Fraction(c, q ** (m * m)) for e, c in enumerate(coeffs)}
+
+
+def poly_value(poly, x):
+    """Exact value of an {exponent: coefficient} polynomial at x."""
+    return sum(c * x**e for e, c in poly.items())

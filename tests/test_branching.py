@@ -160,7 +160,7 @@ def test_decomposition_invariants_survive_optimize_flag():
         "import glstab.branching as b\n"
         "from glstab.errors import InvariantViolated\n"
         "assert False, 'python -O did not strip asserts'\n"
-        "b.gl_order = lambda n, q: 1\n"
+        "b.vic_hom_count = lambda m, n, q: 1\n"
         "try:\n"
         "    b.decompose_perm_module(4, 2, 2)\n"
         "except InvariantViolated as exc:\n"

@@ -13,6 +13,18 @@ import glstab.branching
 from glstab.cli import main
 
 
+def run_module(argv, timeout=10):
+    """Run the CLI in a fresh interpreter, killed after `timeout` seconds."""
+    src = str(Path(glstab.__file__).resolve().parents[1])
+    return subprocess.run(
+        [sys.executable, "-m", "glstab.cli", *argv],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=timeout,
+    )
+
+
 def run_cli(argv):
     buf = io.StringIO()
     with redirect_stdout(buf):
@@ -112,7 +124,7 @@ def test_malformed_shape_exits_2():
 
 
 def test_invariant_violation_exits_1(monkeypatch):
-    monkeypatch.setattr(glstab.branching, "gl_order", lambda n, q: 1)
+    monkeypatch.setattr(glstab.branching, "vic_hom_count", lambda m, n, q: 1)
     err = io.StringIO()
     with redirect_stderr(err):
         code, _ = run_cli(["decompose", "--m", "1", "--q", "2"])
@@ -121,33 +133,44 @@ def test_invariant_violation_exits_1(monkeypatch):
 
 
 def test_large_prime_q_is_bounded():
-    src = str(Path(glstab.__file__).resolve().parents[1])
-    proc = subprocess.run(
-        [sys.executable, "-m", "glstab.cli", "decompose", "--m", "1", "--q", str(2**61 - 1)],
-        env=dict(os.environ, PYTHONPATH=src),
-        capture_output=True,
-        text=True,
-        timeout=10,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert "checks: dimension ok" in proc.stdout
+    # 2**64 - 59 is the largest prime below 2**64, the one bound on q
+    for q in (2**61 - 1, 2**64 - 59):
+        proc = run_module(["decompose", "--m", "1", "--q", str(q)])
+        assert proc.returncode == 0, proc.stderr
+        assert "checks: dimension ok" in proc.stdout
     with redirect_stderr(io.StringIO()):
-        code, _ = run_cli(["decompose", "--m", "1", "--q", str(2**64 + 1)])
-    assert code == 2
+        assert run_cli(["decompose", "--m", "1", "--q", str(2**64)])[0] == 2
+        assert run_cli(["decompose", "--m", "1", "--q", str(2**64 + 1)])[0] == 2
+
+
+def test_decompose_and_stability_sizes_are_bounded():
+    """decompose and stability share the dims output rule, checked before any work."""
+    # (2 * 6644 - 1) * log10(2) = 3999.8 digits at most; one more size passes 4000
+    proc = run_module(["decompose", "--m", "1", "--n", "6644", "--q", "2"])
+    assert proc.returncode == 0, proc.stderr
+    dim = proc.stdout.splitlines()[-2].split("dim=")[1]
+    assert len(dim) == 4000
+    proc = run_module(["decompose", "--m", "1", "--n", "6645", "--q", "2"])
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert json.loads(proc.stderr)["limits"]["n_max"] == 6645
+    # stability prints n_max - m + 1 sizes, at most 256
+    proc = run_module(["stability", "--m", "1", "--q", "2", "--n-max", "256"])
+    assert proc.returncode == 0, proc.stderr
+    proc = run_module(["stability", "--m", "1", "--q", "2", "--n-max", "257"])
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert json.loads(proc.stderr)["error"] == "guard_exceeded"
+
+
+def test_weakstab_guard_refuses_before_smaller_r():
+    proc = run_module(["oracle", "weakstab", "--l", "1", "--m", "1", "--r-max", "100", "--q", "2"])
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert json.loads(proc.stderr)["error"] == "guard_exceeded"
 
 
 def test_dims_table_is_bounded():
     """Huge tables are refused up front, in bounded time, with the limits."""
-    src = str(Path(glstab.__file__).resolve().parents[1])
     for m in ("0", "1"):
-        proc = subprocess.run(
-            [sys.executable, "-m", "glstab.cli", "dims", "--m", m, "--q", "2",
-             "--n-max", "100000000"],
-            env=dict(os.environ, PYTHONPATH=src),
-            capture_output=True,
-            text=True,
-            timeout=10,
-        )
+        proc = run_module(["dims", "--m", m, "--q", "2", "--n-max", "100000000"])
         assert (proc.returncode, proc.stdout) == (2, "")
         err = json.loads(proc.stderr)
         assert err["error"] == "guard_exceeded"

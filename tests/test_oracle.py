@@ -14,6 +14,7 @@ from glstab.errors import BadParameters, GuardExceeded, InvariantViolated
 from glstab.oracle import matrices as mx
 from glstab.oracle.counts import (
     _block_subgroup_generators,
+    _embed_point,
     _make_action,
     _matvec_table,
     _space,
@@ -123,6 +124,19 @@ def test_packed_action_equals_object_action(m, n, q, ell):
         act = _make_action(_matvec_table(h, n, q, F), m, n, q, S)
         for v in points:
             assert act(pack_vic(v, S)) == pack_vic(postcompose(F, h, v), S), (h, v)
+
+
+@pytest.mark.parametrize(
+    "m,n,q",
+    [(0, 2, 2), (1, 2, 2), (1, 3, 2), (2, 3, 2), (2, 4, 2),
+     (1, 2, 3), (1, 3, 3), (2, 3, 3), (1, 2, 4), (1, 2, 9)],
+)
+def test_packed_embedding_equals_object_embedding(m, n, q):
+    """The packed push-forward of weakstab_map_surjective is vic.embed on every point."""
+    S_old, S_new = (q**n - 1).bit_length(), (q ** (n + 1) - 1).bit_length()
+    for v in vic_morphisms(m, n, q):
+        packed = _embed_point(pack_vic(v, S_old), m, n, q, S_old, S_new)
+        assert packed == pack_vic(embed(v), S_new), v
 
 
 def test_compose_identity_and_chain():
