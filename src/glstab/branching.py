@@ -9,10 +9,12 @@ cuspidals is weighted by the number of ways to draw distinct concrete
 cuspidals from the pool at field size q.
 
 Transition tables are shared by every call in the process: one context per
-(q, sorted pinned support) memoises results as (state, weight) pairs whose
-states are interned in one table, so each distinct canonical state is one
-Label object.  States carry their pinned keys, so the intern table grows
-with the contexts and memos; at _TABLE_CAP states every table is dropped.
+(q, sorted pinned support) memoises results as (state, weight) pairs.  The
+leaves of a transition build canonical entries tuples from partitions that
+are already valid, and a state's Label is built once, unchecked, when its
+entries are first interned; Label's checks run only on what callers pass in.
+States carry their pinned keys, so the intern table grows with the contexts
+and memos; at _TABLE_CAP states every table is dropped.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from .labels import (
     Shape,
     anon_key,
     canonical,
+    canonical_entries,
     class_size,
     draws,
     key_degree,
@@ -39,6 +42,7 @@ from .labels import (
     shape_to_json,
     stabilize,
     trivial_label,
+    trusted_label,
     weighted_multisets,
 )
 
@@ -64,10 +68,11 @@ def _column_multisets(budget):
 
 
 # Interned states at which every shared table is dropped: a memory bound,
-# not a setting (m = 7 at q = 2 interns about 10,000 states in one call).
+# not a setting.  decompose_perm_module(3m, m, 2) interns 9,829 / 25,075 /
+# 61,264 distinct states at m = 7 / 8 / 9, so m >= 8 drops the tables mid-call.
 _TABLE_CAP = 20_000
 _contexts = {}  # (q, sorted pinned support) -> _Ctx
-_states = {}  # canonical state -> the one Label object the memos hold for it
+_states = {}  # canonical entries -> the one Label object the memos hold for them
 
 
 def _drop_tables():
@@ -85,12 +90,15 @@ def _context(q, named_context=()):
 
 
 def _keep(memo, key, out):
-    """Memoise out as (state, weight) pairs over interned states."""
+    """Memoise out (entries -> weight) as (state, weight) pairs over interned states."""
     pairs = []
-    for state, w in out.items():
-        if len(_states) >= _TABLE_CAP:
-            _drop_tables()
-        pairs.append((_states.setdefault(state, state), w))
+    for entries, w in out.items():
+        state = _states.get(entries)
+        if state is None:
+            if len(_states) >= _TABLE_CAP:
+                _drop_tables()
+            state = _states[entries] = trusted_label(entries)
+        pairs.append((state, w))
     memo[key] = pairs = tuple(pairs)
     return pairs
 
@@ -121,7 +129,7 @@ class _Ctx:
 
         def rec(idx, acc):
             if idx == len(keys):
-                out[canonical(Label(list(acc.items())))] += 1
+                out[canonical_entries(acc.items())] += 1
                 return
             key = keys[idx]
             for rows in _dset(state.get(key)):
@@ -157,23 +165,21 @@ class _Ctx:
         )
         used = self.named_by_degree + active_anon
         next_slot = sum(active_anon.values())
-        # remaining budget -> fresh column multisets with nonzero weight; the
-        # weights depend only on the budget and the cuspidals used per degree
+        # remaining budget -> fresh columns with nonzero weight, as (key, rows) items
+        # on new slots; both depend only on the budget and the cuspidals used per degree
         fresh = self._fresh_memo.setdefault(tuple(sorted(used.items())), {})
 
         def rec(idx, remaining, acc):
             if idx == len(keys):
                 if remaining not in fresh:
                     fresh[remaining] = [
-                        (cols, w)
+                        (tuple((anon_key(d, next_slot + j), (1,) * k)
+                               for j, (d, k) in enumerate(cols)), w)
                         for cols in _column_multisets(remaining)
                         if (w := draws(cols, self.q, used))
                     ]
-                for cols, w in fresh[remaining]:
-                    items = dict(acc)
-                    for j, (d, k) in enumerate(cols):
-                        items[anon_key(d, next_slot + j)] = (1,) * k
-                    out[canonical(Label(items))] += w
+                for columns, w in fresh[remaining]:
+                    out[canonical_entries([*acc.items(), *columns])] += w
                 return
             key = keys[idx]
             d = key_degree(key)

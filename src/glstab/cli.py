@@ -50,6 +50,15 @@ def _check_size(m, n_max, q, rows):
         raise GuardExceeded("output too large", **limits)
 
 
+def _printable(value):
+    """value, or a power-of-two lower bound as text for an int too long to print."""
+    try:
+        str(value)
+    except ValueError:
+        return f">= 2**{value.bit_length() - 1}"
+    return value
+
+
 def _emit(text, out):
     out.write(text if text.endswith("\n") else text + "\n")
 
@@ -288,9 +297,9 @@ def main(argv=None):
     try:
         return args.fn(args, sys.stdout)
     except GuardExceeded as exc:
+        limits = {k: _printable(v) for k, v in exc.limits.items()}
         sys.stderr.write(
-            json.dumps({"error": "guard_exceeded", "reason": str(exc), "limits": exc.limits})
-            + "\n"
+            json.dumps({"error": "guard_exceeded", "reason": str(exc), "limits": limits}) + "\n"
         )
         return USAGE_ERROR
     except InvariantViolated as exc:

@@ -95,19 +95,39 @@ class Label:
 EMPTY_LABEL = Label()
 
 
+def trusted_label(entries) -> Label:
+    """The Label of already valid, sorted entries, built without Label's checks."""
+    label = Label.__new__(Label)
+    label.entries = entries
+    label._hash = hash(entries)
+    return label
+
+
+def canonical_entries(items) -> tuple:
+    """Sorted entries of the canonical label of valid (key, nonempty rows) items.
+
+    Anonymous entries are sorted once by (degree, size, rows), which is
+    partition order within each degree, and numbered from slot 0 per degree.
+    """
+    fixed, anon = [], []
+    for key, rows in items:
+        if key[0] == "anon":
+            anon.append((key[1], sum(rows), rows))
+        else:
+            fixed.append((key, rows))
+    fixed.sort()
+    anon.sort()
+    slot, prev = 0, None
+    for d, _size, rows in anon:
+        slot = slot + 1 if d == prev else 0
+        prev = d
+        fixed.append((("anon", d, slot), rows))
+    return tuple(fixed)
+
+
 def canonical(label: Label) -> Label:
     """Renumber anonymous slots: within each degree, sort by partition order."""
-    fixed = [(k, r) for k, r in label.entries if k[0] != "anon"]
-    anon = sorted(
-        ((k[1], r) for k, r in label.entries if k[0] == "anon"),
-        key=lambda dr: (dr[0], pt.part_sort_key(dr[1])),
-    )
-    counters = {}
-    for d, rows in anon:
-        slot = counters.get(d, 0)
-        counters[d] = slot + 1
-        fixed.append((anon_key(d, slot), rows))
-    return Label(fixed)
+    return trusted_label(canonical_entries(label.entries))
 
 
 def label_arrow_up(a: Label, b: Label) -> bool:

@@ -339,6 +339,11 @@ def weakstab_map_surjective(ell, m, r, q) -> bool:
 
 def conjugacy_class_count(n, q) -> int:
     """Number of conjugation orbits, by BFS over generator conjugations."""
+    # |GL_n(q)| >= q**(n*(n-1)) >= 2**bits (q**i - 1 >= q**(i-1)); past 2**16 bits no
+    # order prints in decimal, so refuse on the bound, not an n*n*log2(q)-bit product
+    bits = n * (n - 1) * (q.bit_length() - 1)
+    if bits > 2**16:
+        raise GuardExceeded("conjugacy class guard exceeded", n=n, q=q, order=f">= 2**{bits}")
     order = gl_order(n, q)
     if order > CLASS_GUARD:
         raise GuardExceeded("conjugacy class guard exceeded", n=n, q=q, order=order)

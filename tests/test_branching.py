@@ -22,6 +22,7 @@ from glstab.labels import (
     IOTA,
     Label,
     anon_key,
+    canonical,
     label_of_shape,
     make_shape,
     pad,
@@ -267,3 +268,50 @@ def test_shared_tables_stay_within_their_cap(monkeypatch):
         assert _count(item) == uncapped[item]
         assert len(branching._states) <= 40
     assert len(drops) >= 3
+
+
+def _walk_states(start, m, q, context=()):
+    """Every state that _Ctx.down/up return on the unpruned walk of m steps."""
+    ctx = branching._context(q, context)
+    states, seen = {canonical(start)}, set()
+    for s in range(1, m + 1):
+        after_down = {succ for st in states for succ, _ in ctx.down(st)}
+        states = {succ for st in after_down for succ, _ in ctx.up(st, start.norm() + s)}
+        seen |= after_down | states
+    return seen
+
+
+def test_trusted_states_are_valid_canonical_and_interned():
+    """States built without Label's checks pass them, are canonical, and are
+    the one interned object for their entries; unpinned and pinned."""
+    for m, q in [(2, 2), (3, 2), (2, 3), (2, 4)]:
+        branching._drop_tables()
+        n = 3 * m
+        walks = [_walk_states(trivial_label(n - m), m, q)]
+        for e in decompose_perm_module(n, m, q).entries:
+            if e.shape.parts:
+                (nu, _mu), context = branching._pinned(
+                    trivial_label(n - m), pad(label_of_shape(e.shape), n)
+                )
+                walks.append(_walk_states(nu, m, q, context))
+        for states in walks:
+            assert states
+            for state in states:
+                assert Label(state.entries) == state
+                assert canonical(state) == state
+                assert branching._states[state.entries] is state
+
+
+def test_dp_validates_a_bounded_number_of_labels(monkeypatch):
+    """Decompositions validate a few Labels per output entry, not one per DP leaf."""
+    built = []
+    init = Label.__init__
+
+    def counted_init(self, *args, **kwargs):
+        built.append(True)
+        init(self, *args, **kwargs)
+
+    branching._drop_tables()
+    monkeypatch.setattr(Label, "__init__", counted_init)
+    entries = sum(len(decompose_perm_module(*args).entries) for args in [(12, 4, 2), (9, 3, 3)])
+    assert len(built) <= 3 * entries

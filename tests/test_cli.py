@@ -213,6 +213,32 @@ def test_action_leaving_the_space_exits_1(monkeypatch):
     assert json.loads(err.getvalue())["error"] == "invariant_violated"
 
 
+def test_guard_limits_too_long_to_print_exit_2():
+    """A guard whose limit has more digits than Python prints still exits 2 with
+    JSON, the limit as a power-of-two lower bound; printable limits stay exact."""
+    cases = [
+        (["classes", "--n", "1000", "--q", "2"], "order", ">= 2**999000"),
+        (["classes", "--n", "200", "--q", "2"], "order", ">= 2**39998"),
+        (["vic-count", "--m", "1", "--n", "100000", "--q", "2"], "count", ">= 2**199998"),
+        (["classes", "--n", "6", "--q", "2"], "order", 20158709760),
+        (["vic-count", "--m", "2", "--n", "7", "--q", "2"], "count", 16386048),
+    ]
+    for argv, key, limit in cases:
+        proc = run_module(["oracle", *argv])
+        assert (proc.returncode, proc.stdout) == (2, ""), argv
+        err = json.loads(proc.stderr)
+        assert err["error"] == "guard_exceeded"
+        assert err["limits"][key] == limit, argv
+
+
+def test_class_guard_refuses_before_multiplying_the_order():
+    """An order of millions of digits is bounded, not multiplied out."""
+    for q, bound in [(2, ">= 2**8997000"), (9, ">= 2**26991000")]:
+        proc = run_module(["oracle", "classes", "--n", "3000", "--q", str(q)])
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert json.loads(proc.stderr)["limits"] == {"n": 3000, "q": q, "order": bound}
+
+
 def test_guard_violation_exits_2_with_reason():
     code, _ = run_cli(["oracle", "vic-count", "--m", "2", "--n", "7", "--q", "2"])
     assert code == 2

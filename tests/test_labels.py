@@ -3,7 +3,7 @@
 from itertools import combinations_with_replacement, product
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from glstab import partitions as pt
@@ -13,6 +13,7 @@ from glstab.labels import (
     Label,
     anon_key,
     canonical,
+    canonical_entries,
     class_size,
     draws,
     enumerate_labels,
@@ -135,6 +136,62 @@ def test_canonical_renumbers_anonymous_slots():
     a = Label({anon_key(1, 5): (2,), anon_key(1, 2): (1, 1)})
     b = Label({anon_key(1, 0): (2,), anon_key(1, 1): (1, 1)})
     assert canonical(a) == canonical(b)
+
+
+def _validated_canonical(label):
+    """canonical as it was before states were trusted: sort anonymous entries
+    by degree then partition order, renumber, and validate a new Label."""
+    fixed = [(k, r) for k, r in label.entries if k[0] != "anon"]
+    anon = sorted(
+        ((k[1], r) for k, r in label.entries if k[0] == "anon"),
+        key=lambda dr: (dr[0], pt.part_sort_key(dr[1])),
+    )
+    counters = {}
+    for d, rows in anon:
+        slot = counters.get(d, 0)
+        counters[d] = slot + 1
+        fixed.append((anon_key(d, slot), rows))
+    return Label(fixed)
+
+
+# few small partitions, so that equal partitions under one degree are common
+small_rows = st.sampled_from([(1,), (2,), (1, 1), (3,), (2, 1), (1, 1, 1)])
+label_items = st.tuples(
+    st.booleans(),
+    small_rows,
+    st.dictionaries(st.tuples(st.integers(1, 3), st.sampled_from("ab")), small_rows, max_size=3),
+    st.lists(st.tuples(st.integers(1, 3), small_rows), max_size=6),
+    st.randoms(use_true_random=False),
+).map(
+    lambda t: t[4].sample(
+        [(IOTA, t[1])] * t[0]
+        + [(named_key(d, tag), rows) for (d, tag), rows in t[2].items()]
+        + [(anon_key(d, 7 * i + 3), rows) for i, (d, rows) in enumerate(t[3])],
+        k=t[0] + len(t[2]) + len(t[3]),
+    )
+)
+
+
+@settings(max_examples=300)
+@given(label_items)
+# (2,) comes before (1,1,1) in partition order (by size), after it by rows alone
+@example([(anon_key(1, 0), (1, 1, 1)), (anon_key(1, 1), (2,)), (anon_key(2, 0), (1,))])
+def test_leaf_canonicaliser_matches_validated_canonical(items):
+    """The trusted path gives the entries, equality and hash of the validated one."""
+    expected = _validated_canonical(Label(items))
+    assert canonical_entries(items) == expected.entries
+    trusted = canonical(Label(items))
+    assert trusted == expected and hash(trusted) == hash(expected)
+    assert Label(trusted.entries) == trusted
+
+
+def test_canonical_entries_sort_degree_before_rows():
+    items = [(anon_key(2, 0), (1,)), (anon_key(1, 1), (3,)), (anon_key(1, 2), (1,))]
+    assert canonical_entries(items) == (
+        (anon_key(1, 0), (1,)),
+        (anon_key(1, 1), (3,)),
+        (anon_key(2, 0), (1,)),
+    )
 
 
 def test_shape_forgetting_and_representative():
