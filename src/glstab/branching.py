@@ -38,9 +38,7 @@ from .labels import (
     key_degree,
     named_key,
     pool_size,
-    shape_of,
     shape_to_json,
-    stabilize,
     trivial_label,
     trusted_label,
     weighted_multisets,
@@ -331,8 +329,14 @@ def decompose_perm_module(n: int, m: int, q: int) -> Decomposition:
     dist = zigzag_distribution(trivial_label(n - m), m, q)
     entries = []
     for state, weight in dist.items():
-        stable, _ = stabilize(state)
-        stable_shape = shape_of(stable)
+        # shapes from the canonical entries (iota, then parts in Shape order), no
+        # Label built: the degree shape keeps the first iota row, the stable shape
+        # drops it, which (as in stabilize) needs that row to be the longest
+        iota = state.entries[0][1] if state.entries and state.entries[0][0] == IOTA else ()
+        if iota[1:2] > iota[:1]:
+            raise InvariantViolated(f"{state} is not of padded form")
+        parts = tuple((key_degree(k), rows) for k, rows in state.entries if k != IOTA)
+        stable_shape = Shape(iota[1:], parts)
         cls = class_size(stable_shape, q)
         if cls <= 0 or weight % cls:
             raise InvariantViolated(
@@ -343,7 +347,7 @@ def decompose_perm_module(n: int, m: int, q: int) -> Decomposition:
                 shape=stable_shape,
                 multiplicity=weight // cls,
                 class_size=cls,
-                degree=degree_poly(shape_of(state)).evaluate(q),
+                degree=degree_poly(Shape(iota, parts)).evaluate(q),
             )
         )
     entries.sort(key=lambda e: e.shape.sort_key())

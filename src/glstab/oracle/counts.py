@@ -7,25 +7,27 @@ concatenation of the m map columns and the n-m reduced-echelon complement
 rows, and each group generator acts through a precomputed full
 matrix-times-vector table.
 
-Row reduction stays out of the per-point loops.  The space build lists the
-complements of each column span once and shares that list among the
-injections with that span.  Each generator's action keeps its own table
-from complement to reduced image (and from map part to image), so it
-reduces each complement subspace at most once.  The span lists live only
-inside one `_space` call and the action tables inside one `_orbit_data`
-call, so no table carries over from one computation to the next.
+The space build does no row reduction: it lists each complement once,
+directly in reduced echelon form (one Schubert cell per pivot set), and
+pairs it with the injections whose image it complements, as cosets of the
+complement.  Each generator's action keeps its own table from complement to
+reduced image (and from map part to image), so it reduces each complement
+subspace at most once.  The tables of one `_space` call and of one
+`_orbit_data` call live only inside it, so no table carries over from one
+computation to the next.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import combinations, product
 
 from ..degrees import gl_order, vic_hom_count
 from ..errors import BadParameters, GuardExceeded, InvariantViolated
 from . import matrices as mx
 from .fields import field
 from .orbits import orbit_partition
-from .vic import VIC_SPACE_GUARD
+from .vic import space_size
 
 GROUP_SCAN_GUARD = 2**24
 CLASS_GUARD = 2**21
@@ -95,15 +97,6 @@ def _vscale(c, v, n, q, F):
     return out
 
 
-def _pivot(v, q):
-    """Index of the lowest nonzero base-q digit."""
-    i = 0
-    while v % q == 0:
-        v //= q
-        i += 1
-    return i
-
-
 def _rref_bits(rows):
     piv = {}
     for r in rows:
@@ -119,38 +112,21 @@ def _rref_bits(rows):
     return tuple(piv[p] for p in sorted(piv))
 
 
+def _pack(digits, q):
+    return sum(d * q**i for i, d in enumerate(digits))
+
+
 def _rref_packed(rows, n, q, F):
     """Reduced echelon form of packed row vectors, sorted by pivot column."""
     if q == 2:
         return _rref_bits(rows)
-    digit_rows = []
-    for v in rows:
-        ds = []
-        for _ in range(n):
-            ds.append(v % q)
-            v //= q
-        digit_rows.append(tuple(ds))
-    red, _ = mx.rref(F, tuple(digit_rows))
-    out = []
-    for row in red:
-        v, mul = 0, 1
-        for d in row:
-            v += d * mul
-            mul *= q
-        out.append(v)
-    return tuple(out)
+    red, _ = mx.rref(F, tuple(tuple(v // q**i % q for i in range(n)) for v in rows))
+    return tuple(_pack(row, q) for row in red)
 
 
 def _matvec_table(h_rows, n, q, F):
     """Image of every packed vector under the matrix, as a flat list."""
-    cols = list(zip(*h_rows))
-    packed_cols = []
-    for col in cols:
-        v, mul = 0, 1
-        for d in col:
-            v += d * mul
-            mul *= q
-        packed_cols.append(v)
+    packed_cols = [_pack(col, q) for col in zip(*h_rows)]
     table = [0] * (q**n)
     stride = 1
     for i in range(n):
@@ -164,57 +140,60 @@ def _matvec_table(h_rows, n, q, F):
 
 @lru_cache(maxsize=4)
 def _space(m, n, q):
-    """All packed points of the morphism space, plus the field width in bits."""
-    total = vic_hom_count(m, n, q)
-    if total > VIC_SPACE_GUARD:
-        raise GuardExceeded("morphism space exceeds guard", m=m, n=n, q=q, count=total)
+    """All packed points of the morphism space, plus the field width in bits.
+
+    For each pivot set, every complement C with those pivots is listed in
+    reduced echelon form: row i is q**p_i plus free digits at the non-pivot
+    coordinates above p_i.  The coordinate subspace E on the other m
+    coordinates is a complement of C, so the injections whose image meets C
+    only in 0 are the column tuples a_i + c_i with (a_i) an ordered basis of E
+    and each c_i in C.  Each coset a + C is built once per C.
+    """
+    space_size(m, n, q)  # refuses a space past the guard
     F = field(q)
-    B = q**n
-    S = (B - 1).bit_length()
-    k_bits = S * (n - m)
+    S = (q**n - 1).bit_length()
+    size = q**m  # E, in local coordinates: the packed vectors of F_q^m
+    add = [[_vadd(x, y, m, q, F) for y in range(size)] for x in range(size)]
+    scale = [[_vscale(c, x, m, q, F) for x in range(size)] for c in range(q)]
+    shifts = [S * (n - 1 - i) for i in range(m)]  # column i of a point
     points = []
-    by_span = {}  # column span -> packed complement keys, shared by its injections
+    grown = {}  # (span of the basis vectors chosen so far, next one) -> bigger span
 
-    def pack(vals):
-        key = 0
-        for v in vals:
-            key = (key << S) | v
-        return key
-
-    def complements(cols, span):
-        basis = _rref_packed(cols, n, q, F)
-        pivots = {_pivot(v, q) for v in basis}
-        nonpiv = [j for j in range(n) if j not in pivots]
-        col_space = sorted(span)
-        out = []
-        stack = [(0, ())]
-        while stack:
-            idx, rows = stack.pop()
-            if idx == len(nonpiv):
-                out.append(pack(_rref_packed(rows, n, q, F)))
-                continue
-            ej = q ** nonpiv[idx]
-            for u in col_space:
-                stack.append((idx + 1, rows + (_vadd(ej, u, n, q, F),)))
-        return out
-
-    def rec(cols, span):
-        if len(cols) == m:
-            comps = by_span.get(span)
-            if comps is None:
-                comps = by_span[span] = complements(cols, span)
-            high = pack(cols) << k_bits
-            points.extend(high | k for k in comps)
+    def fill(prefixes, i, span, cosets):
+        if i == m:
+            points.extend(prefixes)
             return
-        for v in range(1, B):
-            if v not in span:
-                bigger = set(span)
-                for s in span:
-                    for c in range(1, q):
-                        bigger.add(_vadd(s, _vscale(c, v, n, q, F), n, q, F))
-                rec(cols + (v,), frozenset(bigger))
+        for a in range(1, size):
+            if a in span:
+                continue
+            bigger = grown.get((span, a))
+            if bigger is None:
+                bigger = grown[span, a] = span | {
+                    add[s][scale[c][a]] for s in span for c in range(1, q)
+                }
+            level = cosets[a][i]
+            fill([p | v for p in prefixes for v in level], i + 1, bigger, cosets)
 
-    rec((), frozenset((0,)))
+    for piv in combinations(range(n), n - m):
+        others = [j for j in range(n) if j not in piv]
+        to_packed = [sum(a // q**t % q * q**j for t, j in enumerate(others)) for a in range(size)]
+        # row i's free part: a local vector with no digit below p_i, that is a
+        # multiple of q**(the number of non-pivot coordinates below p_i)
+        free = [range(0, size, q ** sum(j < p for j in others)) for p in piv]
+        for fs in product(*free):
+            key = 0
+            for p, f in zip(piv, fs):
+                key = (key << S) | (q**p + to_packed[f])
+            # C as (pivot digits, local part) pairs; the two parts share no digit
+            span = [(0, 0)]
+            for p, f in zip(piv, fs):
+                span += [(x + t * q**p, add[e][scale[t][f]]) for t in range(1, q) for x, e in span]
+            cosets = [None] + [
+                [[(x + to_packed[add[a][e]]) << sh for x, e in span] for sh in shifts]
+                for a in range(1, size)
+            ]
+            fill([key], 0, frozenset((0,)), cosets)
+    total = vic_hom_count(m, n, q)
     if len(points) != total:
         raise InvariantViolated(f"built {len(points)} points of ({m},{n},{q}); expected {total}")
     return tuple(points), S

@@ -93,11 +93,22 @@ def _span(F: Field, basis_rows):
     return out
 
 
-def vic_morphisms(m, n, q) -> list:
-    """Every morphism from F_q^m to F_q^n; count = vic_hom_count(m, n, q)."""
+def space_size(m, n, q) -> int:
+    """vic_hom_count(m, n, q), refused past VIC_SPACE_GUARD.  The count is at least
+    q**(m*(2n-m-1)) >= 2**bits (q**n - q**i >= q**(n-1)); past 2**16 bits no count
+    prints in decimal, so refuse on that bound, not an m*n*log2(q)-bit product."""
+    bits = m * (2 * n - m - 1) * (q.bit_length() - 1)
+    if bits > 2**16:
+        raise GuardExceeded("morphism space exceeds guard", m=m, n=n, q=q, count=f">= 2**{bits}")
     total = vic_hom_count(m, n, q)
     if total > VIC_SPACE_GUARD:
         raise GuardExceeded("morphism space exceeds guard", m=m, n=n, q=q, count=total)
+    return total
+
+
+def vic_morphisms(m, n, q) -> list:
+    """Every morphism from F_q^m to F_q^n; count = vic_hom_count(m, n, q)."""
+    total = space_size(m, n, q)
     F = field(q)
     out = []
 
@@ -111,8 +122,9 @@ def vic_morphisms(m, n, q) -> list:
         for us in product(col_space, repeat=len(nonpiv)):
             rows = []
             for j, u in zip(nonpiv, us):
-                rows.append(tuple(F.add[u[i]][1 if i == j else 0] for i in range(n)))
-            K, _ = rref(F, tuple(rows)) if rows else ((), ())
+                rows.append(u[:j] + (F.add[u[j]][1],) + u[j + 1 :])
+            # with no columns the rows are e_0, ..., e_{n-1}: already reduced
+            K = rref(F, tuple(rows))[0] if chosen and rows else tuple(rows)
             out.append(VicMorphism(q=q, f=f_rows, K=K))
 
     def columns(chosen, span):

@@ -315,3 +315,24 @@ def test_dp_validates_a_bounded_number_of_labels(monkeypatch):
     monkeypatch.setattr(Label, "__init__", counted_init)
     entries = sum(len(decompose_perm_module(*args).entries) for args in [(12, 4, 2), (9, 3, 3)])
     assert len(built) <= 3 * entries
+
+
+def test_decompose_validates_labels_independent_of_entry_count(monkeypatch):
+    """Entry assembly derives both shapes from the trusted DP states, so the number
+    of validated Labels does not grow with the number of entries."""
+    built = []
+    init = Label.__init__
+
+    def counted_init(self, *args, **kwargs):
+        built.append(True)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Label, "__init__", counted_init)
+    seen = []
+    for args in [(9, 3, 2), (12, 4, 2)]:
+        branching._drop_tables()
+        built.clear()
+        seen.append((len(decompose_perm_module(*args).entries), len(built)))
+    (small_entries, small), (large_entries, large) = seen
+    assert small_entries < large_entries
+    assert small == large

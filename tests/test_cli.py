@@ -239,6 +239,16 @@ def test_class_guard_refuses_before_multiplying_the_order():
         assert json.loads(proc.stderr)["limits"] == {"n": 3000, "q": q, "order": bound}
 
 
+def test_space_guard_refuses_before_multiplying_the_count():
+    """A morphism count of millions of digits is bounded, not multiplied out."""
+    for cmd in ("vic-count", "double-cosets"):
+        proc = run_module(["oracle", cmd, "--m", "3000", "--n", "3000", "--q", "2"])
+        assert (proc.returncode, proc.stdout) == (2, ""), cmd
+        err = json.loads(proc.stderr)
+        assert err["error"] == "guard_exceeded"
+        assert err["limits"] == {"m": 3000, "n": 3000, "q": 2, "count": ">= 2**8997000"}
+
+
 def test_guard_violation_exits_2_with_reason():
     code, _ = run_cli(["oracle", "vic-count", "--m", "2", "--n", "7", "--q", "2"])
     assert code == 2

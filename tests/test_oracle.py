@@ -7,8 +7,12 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import glstab
+import glstab.oracle.counts as counts
+import glstab.oracle.vic as vic
 from glstab.degrees import gl_order, vic_hom_count
 from glstab.errors import BadParameters, GuardExceeded, InvariantViolated
 from glstab.oracle import matrices as mx
@@ -109,6 +113,63 @@ def test_packed_space_agrees_with_object_enumeration():
         points, S = _space(m, n, q)
         assert len(points) == len(set(points)) == vic_hom_count(m, n, q)
         assert set(points) == {pack_vic(v, S) for v in vic_morphisms(m, n, q)}
+
+
+@st.composite
+def small_spaces(draw, bound=3000):
+    """(m, n, q) with at most `bound` morphisms, q over the oracle's field sizes."""
+    q = draw(st.sampled_from([2, 3, 4, 5, 7, 8, 9]))
+    n = draw(st.integers(0, 6))
+    m = draw(st.integers(0, n))
+    while vic_hom_count(m, n, q) > bound:  # the count grows with m; m = 0 has one
+        m -= 1
+    return m, n, q
+
+
+@given(small_spaces())
+@example((0, 0, 2))
+@example((0, 4, 5))
+@example((3, 3, 2))
+@example((2, 2, 7))
+@example((1, 2, 8))
+@example((1, 2, 9))
+@example((1, 3, 4))
+def test_packed_space_is_the_object_space(mnq):
+    """The echelon-cell space build and the span-then-reduce object enumeration
+    give the same point set."""
+    points, S = _space(*mnq)
+    assert len(points) == vic_hom_count(*mnq)
+    assert set(points) == {pack_vic(v, S) for v in vic_morphisms(*mnq)}
+
+
+def test_space_build_does_no_row_reduction(monkeypatch):
+    """_space lists complements in reduced echelon form; it never row-reduces."""
+    cases = [(2, 4, 2), (1, 3, 3), (2, 3, 4), (0, 3, 5), (2, 2, 3), (1, 2, 9)]
+    expected = {args: _space(*args) for args in cases}
+
+    def forbidden(*args):
+        raise AssertionError("row reduction in the space build")
+
+    monkeypatch.setattr(counts, "_rref_packed", forbidden)
+    monkeypatch.setattr(counts, "_rref_bits", forbidden)
+    monkeypatch.setattr(mx, "rref", forbidden)
+    _space.cache_clear()
+    try:
+        for args in cases:
+            assert _space(*args) == expected[args], args
+    finally:
+        _space.cache_clear()
+
+
+def test_vic_morphisms_at_m0_skip_row_reduction(monkeypatch):
+    """With no columns the one complement is the identity, already reduced."""
+
+    def forbidden(*args):
+        raise AssertionError("row reduction at m = 0")
+
+    monkeypatch.setattr(vic, "rref", forbidden)
+    for n, q in [(0, 2), (1, 3), (5, 2), (40, 9)]:
+        assert vic_morphisms(0, n, q) == [standard_morphism(0, n, q)]
 
 
 @pytest.mark.parametrize(
