@@ -127,17 +127,11 @@ def cmd_stability(args, out):
     if args.format == "json":
         _emit(json.dumps(report.to_json(), sort_keys=True), out)
     else:
-        sizes = sorted(report.decompositions)
-        shapes = sorted(
-            {e.shape for dec in report.decompositions.values() for e in dec.entries},
-            key=lambda s: s.sort_key(),
-        )
-        rows = []
-        for shape in shapes:
-            mults = [
-                report.decompositions[n].stable_map().get(shape, (0,))[0] for n in sizes
-            ]
-            rows.append([format_shape(shape)] + mults)
+        decs = report.decompositions
+        sizes = sorted(decs)
+        mults = [{e.shape: e.multiplicity for e in decs[n].entries} for n in sizes]
+        shapes = sorted(set().union(*mults), key=lambda s: s.sort_key())
+        rows = [[format_shape(s)] + [mp.get(s, 0) for mp in mults] for s in shapes]
         headers = ["shape"] + [f"n={n}" for n in sizes]
         if args.format == "csv":
             _emit(_csv(headers, rows), out)

@@ -4,13 +4,18 @@ Used to cross-check the symmetry-reduced dynamic program: every cuspidal of
 every degree is given a concrete identity, states are plain label functions
 on those identities, and paths are counted by memoized forward enumeration
 with no class weighting.  Only feasible for small q and small norms.
+
+The pool holds cuspidal_count(d, q) cuspidals of each degree d <= n, iota
+included.  A step removes at most one box per row of every cuspidal's
+partition, then adds at most one box per row of every cuspidal's partition;
+an inactive cuspidal carries the empty partition, so a fresh column is just
+an up-move of ().
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from functools import lru_cache
-from itertools import combinations, permutations
 
 from . import partitions as pt
 from .degrees import cuspidal_count, prime_power
@@ -18,10 +23,6 @@ from .errors import BadParameters
 from .labels import IOTA, Label, key_degree
 
 # concrete cuspidal = (degree, index); (1, 0) is iota
-
-
-def pool_sizes(q, max_degree):
-    return {d: cuspidal_count(d, q) for d in range(1, max_degree + 1)}
 
 
 def _to_concrete(label: Label, assignment):
@@ -54,117 +55,46 @@ def count_zigzag_concrete(nu: Label, mu: Label, m: int, q: int) -> int:
     prime_power(q)
     if mu.norm() - nu.norm() != m or m < 0:
         raise BadParameters("norm difference does not match step count")
-    n = mu.norm()
-    pools = pool_sizes(q, max(n, 1))
+    # listed by degree, so the up-step stops at the first degree over budget
+    pool = [(d, i) for d in range(1, mu.norm() + 1) for i in range(cuspidal_count(d, q))]
     assignment = assign_endpoints(nu, mu)
+    if not set(assignment.values()) <= set(pool):
+        raise BadParameters(f"labels need more cuspidals than q={q} has")
     start = _to_concrete(nu, assignment)
     goal = _to_concrete(mu, assignment)
-    if m == 0:
-        return 1 if start == goal else 0
 
     down_set = lru_cache(maxsize=None)(lambda rows: tuple(pt.down_set(rows)))
     up_set = lru_cache(maxsize=None)(lambda rows, s: tuple(pt.up_set(rows, s)))
 
-    def down_successors(state):
-        out = defaultdict(int)
-        keys = [k for k, _ in state]
+    def down(state, w, out, j=0, acc=()):
+        """Remove at most one box per row of each entry of the sorted state."""
+        if j == len(state):
+            out[acc] += w
+            return
+        cusp, rows = state[j]
+        for lam in down_set(rows):
+            down(state, w, out, j + 1, acc + ((cusp, lam),) if lam else acc)
 
-        def rec(idx, acc):
-            if idx == len(keys):
-                out[tuple(sorted(acc.items()))] += 1
-                return
-            key = keys[idx]
-            for rows in down_set(dict(state)[key]):
-                if rows:
-                    acc[key] = rows
-                rec(idx + 1, acc)
-                acc.pop(key, None)
-
-        rec(0, {})
-        return out
-
-    def fresh_choices(inactive, budget):
-        """Sets of (cuspidal, column height) over inactive ids, cost = budget."""
-        if budget == 0:
-            return [()]
-        by_degree = defaultdict(list)
-        for d, i in inactive:
-            if d <= budget:
-                by_degree[d].append((d, i))
-        degrees = sorted(by_degree)
-
-        def degree_options(d, ids, max_cost):
-            opts = [()]
-            for h_total in range(1, max_cost // d + 1):
-                for heights in pt.partitions_of(h_total):
-                    if len(heights) > len(ids):
-                        continue
-                    for combo in combinations(ids, len(heights)):
-                        for assign in set(permutations(heights)):
-                            opts.append(tuple(zip(combo, assign)))
-            return opts
-
-        results = []
-
-        def rec(di, remaining, acc):
-            if di == len(degrees):
-                if remaining == 0:
-                    results.append(tuple(acc))
-                return
-            d = degrees[di]
-            for opt in degree_options(d, by_degree[d], remaining):
-                cost = d * sum(k for _, k in opt)
-                if cost <= remaining:
-                    rec(di + 1, remaining - cost, acc + list(opt))
-
-        rec(0, budget, [])
-        return results
-
-    def up_successors(state, target_norm):
-        budget = target_norm - sum(d * sum(r) for (d, _i), r in state)
-        out = defaultdict(int)
-        if budget < 0:
-            return out
-        entries = list(state)
-        active = {c for c, _ in entries}
-        if (1, 0) not in active:
-            entries.append(((1, 0), ()))
-        inactive = sorted(
-            (d, i)
-            for d in pools
-            for i in range(pools[d])
-            if (d, i) not in active and (d, i) != (1, 0)
-        )
-
-        def rec(idx, remaining, acc):
-            if idx == len(entries):
-                for picks in fresh_choices(inactive, remaining):
-                    items = dict(acc)
-                    for cusp, k in picks:
-                        items[cusp] = (1,) * k
-                    out[tuple(sorted(items.items()))] += 1
-                return
-            cusp, rows = entries[idx]
-            d = cusp[0]
-            for b in range(remaining // d + 1):
-                for new_rows in up_set(rows, sum(rows) + b):
-                    if new_rows:
-                        acc[cusp] = new_rows
-                    rec(idx + 1, remaining - d * b, acc)
-                    acc.pop(cusp, None)
-
-        rec(0, budget, {})
-        return out
+    def up(state, w, out, budget, p=0, j=0, acc=()):
+        """Add at most one box per row of each pool cuspidal; cost is d per box."""
+        if p == len(pool) or pool[p][0] > budget:
+            if budget == 0:
+                out[acc + state[j:]] += w
+            return
+        cusp, rows = pool[p], ()
+        if j < len(state) and state[j][0] == cusp:
+            rows, j = state[j][1], j + 1
+        d = cusp[0]
+        for b in range(budget // d + 1):
+            for lam in up_set(rows, sum(rows) + b):
+                up(state, w, out, budget - d * b, p + 1, j, acc + ((cusp, lam),) if lam else acc)
 
     states = {start: 1}
-    n0 = nu.norm()
-    for s in range(1, m + 1):
+    for norm in range(nu.norm() + 1, mu.norm() + 1):
         after_down = defaultdict(int)
         for st, w in states.items():
-            for succ, c in down_successors(st).items():
-                after_down[succ] += w * c
+            down(st, w, after_down)
         states = defaultdict(int)
         for st, w in after_down.items():
-            for succ, c in up_successors(st, n0 + s).items():
-                states[succ] += w * c
+            up(st, w, states, norm - sum(d * sum(rows) for (d, _i), rows in st))
     return states.get(goal, 0)

@@ -16,11 +16,10 @@ from ..errors import InvariantViolated
 
 def orbit_partition(points, actions):
     """BFS closure; returns (orbit representatives, point -> orbit index)."""
-    index = set(points)
-    labels = {}
+    labels = dict.fromkeys(points, -1)  # -1: not reached yet
     reps = []
     for start in points:
-        if start in labels:
+        if labels[start] >= 0:
             continue
         orbit_id = len(reps)
         reps.append(start)
@@ -30,12 +29,12 @@ def orbit_partition(points, actions):
             p = frontier.popleft()
             for act in actions:
                 img = act(p)
-                if img in labels:
-                    continue
-                if img not in index:
+                seen = labels.get(img)
+                if seen is None:
                     raise InvariantViolated(f"image {img!r} left the point set")
-                labels[img] = orbit_id
-                frontier.append(img)
+                if seen < 0:
+                    labels[img] = orbit_id
+                    frontier.append(img)
     return reps, labels
 
 

@@ -68,6 +68,21 @@ def test_stability_exit_and_degree():
     assert "observed stability degree 3" in out
 
 
+def test_stability_table_builds_each_stable_map_once(monkeypatch):
+    calls = []
+    stable_map = glstab.branching.Decomposition.stable_map
+
+    def counted(self):
+        calls.append(self.n)
+        return stable_map(self)
+
+    monkeypatch.setattr(glstab.branching.Decomposition, "stable_map", counted)
+    code, _out = run_cli(["stability", "--m", "1", "--q", "2", "--n-max", "6"])
+    sizes = 6 - 1 + 1
+    assert code == 0
+    assert len(calls) <= 2 * sizes + 1, f"{len(calls)} stable_map calls for {sizes} sizes"
+
+
 def test_zigzag_examples():
     assert run_cli(["zigzag", "--from", "i:(1)", "--to", "i:(1,1)", "--q", "2"]) == (0, "2\n")
     assert run_cli(["zigzag", "--from", "", "--to", "i:(1,1)", "--q", "5"]) == (0, "5\n")

@@ -247,6 +247,21 @@ def test_orbit_count_raises_when_not_closed():
         orbit_count([1, 2, 3], [lambda x: x + 1])
 
 
+def test_orbit_partition_labels_every_point_by_its_orbit():
+    F = field(2)
+    points = vic_morphisms(1, 3, 2)
+    a = ((1, 0, 0), (0, 0, 1), (0, 1, 0))
+    b = ((1, 0, 0), (0, 1, 1), (0, 0, 1))
+    for gens in ([], [a], [a, b]):
+        actions = [lambda v, h=h: postcompose(F, h, v) for h in gens]
+        reps, labels = orbit_partition(points, actions)
+        assert set(labels) == set(points)
+        assert sorted(set(labels.values())) == list(range(len(reps)))
+        assert [labels[r] for r in reps] == list(range(len(reps)))
+        assert all(labels[act(p)] == labels[p] for act in actions for p in points)
+    assert len(reps) == 7
+
+
 def test_space_point_count_check_survives_optimize_flag():
     """The point-count check in _space is not an assert: it holds under -O."""
     script = (
