@@ -14,7 +14,9 @@ leaves of a transition build canonical entries tuples from partitions that
 are already valid, and a state's Label is built once, unchecked, when its
 entries are first interned; Label's checks run only on what callers pass in.
 States carry their pinned keys, so the intern table grows with the contexts
-and memos; at _TABLE_CAP states every table is dropped.
+and memos; at _TABLE_CAP states every table is dropped.  A walk with a target
+drops the states that cannot reach it before each step, and the caller reads
+the target's weight.
 """
 
 from __future__ import annotations
@@ -43,16 +45,6 @@ from .labels import (
     trusted_label,
     weighted_multisets,
 )
-
-
-@lru_cache(maxsize=None)
-def _dset(rows):
-    return tuple(pt.down_set(rows))
-
-
-@lru_cache(maxsize=None)
-def _uset(rows, target_size):
-    return tuple(pt.up_set(rows, target_size))
 
 
 @lru_cache(maxsize=None)
@@ -130,7 +122,7 @@ class _Ctx:
                 out[canonical_entries(acc.items())] += 1
                 return
             key = keys[idx]
-            for rows in _dset(state.get(key)):
+            for rows in pt.down_set(state.get(key)):
                 if rows:
                     acc[key] = rows
                     rec(idx + 1, acc)
@@ -184,7 +176,7 @@ class _Ctx:
             rows = state.get(key)
             base = sum(rows)
             for b in range(remaining // d + 1):
-                for new_rows in _uset(rows, base + b):
+                for new_rows in pt.up_set(rows, base + b):
                     if new_rows:
                         acc[key] = new_rows
                         rec(idx + 1, remaining - d * b, acc)
@@ -203,17 +195,10 @@ def _rows_close(a, b, r):
 
 
 def _can_reach(state: Label, target: Label, r: int) -> bool:
-    """Cheap necessary condition for reaching target in r down/up pairs."""
-    keys = set(state.support()) | set(target.support()) | {IOTA}
-    for key in keys:
-        srows, trows = state.get(key), target.get(key)
-        if key[0] == "anon":
-            # anonymous parts must shrink to nothing: row 1 loses <=1 per pair
-            if pt.row(srows, 0) > r:
-                return False
-        elif not _rows_close(srows, trows, r):
-            return False
-    return True
+    """Cheap necessary condition for reaching target in r down/up pairs: a pair
+    moves each row of each key by at most one (a key outside a support is empty)."""
+    keys = set(state.support()) | set(target.support())
+    return all(_rows_close(state.get(k), target.get(k), r) for k in keys)
 
 
 def _pin_anonymous(label: Label) -> Label:
@@ -239,6 +224,9 @@ def zigzag_distribution(start: Label, m: int, q: int, named_context=(), target=N
     states = {canonical(start): 1}
     n0 = start.norm()
     for s in range(1, m + 1):
+        if target is not None:
+            r = m - s + 1
+            states = {st: w for st, w in states.items() if _can_reach(st, target, r)}
         after_down = defaultdict(int)
         for st, w in states.items():
             for succ, c in ctx.down(st):
@@ -247,12 +235,9 @@ def zigzag_distribution(start: Label, m: int, q: int, named_context=(), target=N
         for st, w in after_down.items():
             for succ, c in ctx.up(st, n0 + s):
                 new_states[succ] += w * c
-        if target is not None:
-            r = m - s
-            new_states = {
-                st: w for st, w in new_states.items() if _can_reach(st, target, r)
-            }
         states = dict(new_states)
+    if target is not None:
+        return {target: states[target]} if target in states else {}
     return states
 
 
@@ -352,7 +337,8 @@ def decompose_perm_module(n: int, m: int, q: int) -> Decomposition:
         )
     entries.sort(key=lambda e: e.shape.sort_key())
     dec = Decomposition(n=n, m=m, q=q, entries=tuple(entries))
-    if dec.stable_map().get(Shape(), (0,))[0] != 1:
+    # the empty stable shape has norm 0, so it sorts first if present
+    if [(e.shape, e.multiplicity) for e in entries[:1]] != [(Shape(), 1)]:
         raise InvariantViolated(f"trivial constituent not exactly once in ({n},{m},{q})")
     if dec.dimension() != vic_hom_count(m, n, q):
         raise InvariantViolated(f"dimension identity fails for ({n},{m},{q})")

@@ -15,7 +15,6 @@ an up-move of ().
 from __future__ import annotations
 
 from collections import defaultdict
-from functools import lru_cache
 
 from . import partitions as pt
 from .degrees import cuspidal_count, prime_power
@@ -63,16 +62,13 @@ def count_zigzag_concrete(nu: Label, mu: Label, m: int, q: int) -> int:
     start = _to_concrete(nu, assignment)
     goal = _to_concrete(mu, assignment)
 
-    down_set = lru_cache(maxsize=None)(lambda rows: tuple(pt.down_set(rows)))
-    up_set = lru_cache(maxsize=None)(lambda rows, s: tuple(pt.up_set(rows, s)))
-
     def down(state, w, out, j=0, acc=()):
         """Remove at most one box per row of each entry of the sorted state."""
         if j == len(state):
             out[acc] += w
             return
         cusp, rows = state[j]
-        for lam in down_set(rows):
+        for lam in pt.down_set(rows):
             down(state, w, out, j + 1, acc + ((cusp, lam),) if lam else acc)
 
     def up(state, w, out, budget, p=0, j=0, acc=()):
@@ -86,7 +82,7 @@ def count_zigzag_concrete(nu: Label, mu: Label, m: int, q: int) -> int:
             rows, j = state[j][1], j + 1
         d = cusp[0]
         for b in range(budget // d + 1):
-            for lam in up_set(rows, sum(rows) + b):
+            for lam in pt.up_set(rows, sum(rows) + b):
                 up(state, w, out, budget - d * b, p + 1, j, acc + ((cusp, lam),) if lam else acc)
 
     states = {start: 1}

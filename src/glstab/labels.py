@@ -130,12 +130,6 @@ def canonical(label: Label) -> Label:
     return trusted_label(canonical_entries(label.entries))
 
 
-def label_arrow_up(a: Label, b: Label) -> bool:
-    """Keywise add-at-most-one-box-per-row relation."""
-    keys = set(a.support()) | set(b.support())
-    return all(pt.arrow_up(a.get(k), b.get(k)) for k in keys)
-
-
 def trivial_label(n) -> Label:
     """The label of the trivial representation of G_n."""
     if n < 0:

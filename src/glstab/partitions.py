@@ -1,7 +1,8 @@
 """Partitions and the row-wise add/remove-at-most-one-box relations.
 
 Partitions are canonical tuples of positive integers in weakly decreasing
-order; rows beyond the stored length read as 0.
+order; rows beyond the stored length read as 0.  down_set and up_set are
+cached: they take partitions as tuples and return tuples of partitions.
 """
 
 from __future__ import annotations
@@ -44,7 +45,8 @@ def arrow_up(lam, mu) -> bool:
     return True
 
 
-def down_set(mu) -> list:
+@lru_cache(maxsize=None)
+def down_set(mu) -> tuple:
     """All lam with arrow_up(lam, mu), i.e. remove <=1 box per row of mu."""
     k = len(mu)
     out = set()
@@ -55,10 +57,11 @@ def down_set(mu) -> list:
                 rows[i] -= 1
             if all(rows[i] >= rows[i + 1] for i in range(k - 1)):
                 out.add(tuple(v for v in rows if v > 0))
-    return sorted(out, key=part_sort_key)
+    return tuple(sorted(out, key=part_sort_key))
 
 
-def up_set(lam, target_size) -> list:
+@lru_cache(maxsize=None)
+def up_set(lam, target_size) -> tuple:
     """All mu of the given size with arrow_up(lam, mu).
 
     The size cap is mandatory: without it arbitrarily many new rows of
@@ -66,7 +69,7 @@ def up_set(lam, target_size) -> list:
     """
     b = target_size - size(lam)
     if b < 0:
-        return []
+        return ()
     k = len(lam)
     out = set()
     for j in range(min(b, k) + 1):
@@ -80,7 +83,7 @@ def up_set(lam, target_size) -> list:
             if t > 0 and k > 0 and rows[-1] < 1:
                 continue
             out.add(tuple(rows) + (1,) * t)
-    return sorted(out, key=part_sort_key)
+    return tuple(sorted(out, key=part_sort_key))
 
 
 def transpose(lam) -> tuple:

@@ -23,6 +23,7 @@ from glstab.labels import (
     Label,
     anon_key,
     canonical,
+    enumerate_shapes,
     label_of_shape,
     make_shape,
     pad,
@@ -336,3 +337,47 @@ def test_decompose_validates_labels_independent_of_entry_count(monkeypatch):
     (small_entries, small), (large_entries, large) = seen
     assert small_entries < large_entries
     assert small == large
+
+
+def test_decompose_reads_the_trivial_constituent_without_stable_map(monkeypatch):
+    calls = []
+    stable_map = branching.Decomposition.stable_map
+
+    def counted(self):
+        calls.append(self)
+        return stable_map(self)
+
+    monkeypatch.setattr(branching.Decomposition, "stable_map", counted)
+    decompose_perm_module(9, 3, 2)
+    assert calls == []
+
+
+def test_target_pruning_drops_no_path(monkeypatch):
+    """count_zigzag equals the target's weight in the unpruned pinned walk on every
+    pair of shape representatives with norms ell <= 2 and m <= 3, and it checks
+    reachability only while pairs are left."""
+    can_reach, pairs_left = branching._can_reach, []
+
+    def recorded(state, target, r):
+        pairs_left.append(r)
+        return can_reach(state, target, r)
+
+    monkeypatch.setattr(branching, "_can_reach", recorded)
+    pairs, bad = 0, []
+    for q in (2, 3):
+        for ell in range(3):
+            for m in (1, 2, 3):
+                for src in enumerate_shapes(ell):
+                    for dst in enumerate_shapes(ell + m):
+                        nu, mu = label_of_shape(src), label_of_shape(dst)
+                        try:
+                            pruned = count_zigzag(nu, mu, m, q)
+                        except BadParameters:
+                            continue  # more cuspidals than q has
+                        (nu_p, mu_p), context = branching._pinned(nu, mu)
+                        walk = zigzag_distribution(nu_p, m, q, context)
+                        pairs += 1
+                        if pruned != walk.get(canonical(mu_p), 0):
+                            bad.append((q, src, dst, pruned))
+    assert (pairs, bad) == (878, [])
+    assert pairs_left and min(pairs_left) >= 1

@@ -19,7 +19,6 @@ from glstab.labels import (
     enumerate_labels,
     enumerate_shapes,
     format_shape,
-    label_arrow_up,
     label_of_shape,
     make_shape,
     named_key,
@@ -104,6 +103,12 @@ def test_stabilize_known_values():
 @given(stable_labels)
 def test_tilde_raises_norm_by_one(lam):
     assert tilde(lam).norm() == lam.norm() + 1
+
+
+def label_arrow_up(a, b):
+    """Keywise add-at-most-one-box-per-row relation from a to b."""
+    keys = set(a.support()) | set(b.support())
+    return all(pt.arrow_up(a.get(k), b.get(k)) for k in keys)
 
 
 @given(stable_labels, st.integers(0, 3))

@@ -104,7 +104,7 @@ def test_support_bounds_adversarial_entry():
 
 def margin_walk(m, q, tail, n):
     """Walk the DP states from trivial_label(n - m) towards pad(tail, n), as
-    count_zigzag does (pinned support, target pruning after each up step).
+    count_zigzag does (pinned support, target pruning).
 
     Returns (states visited, whether every one has an iota partition whose
     first row is longer than its second): the margin that keeps tilde
