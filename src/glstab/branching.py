@@ -8,15 +8,15 @@ an unordered multiset, and a transition that activates fresh anonymous
 cuspidals is weighted by the number of ways to draw distinct concrete
 cuspidals from the pool at field size q.
 
-Transition tables are shared by every call in the process: one context per
-(q, sorted pinned support) memoises results as (state, weight) pairs.  The
-leaves of a transition build canonical entries tuples from partitions that
-are already valid, and a state's Label is built once, unchecked, when its
-entries are first interned; Label's checks run only on what callers pass in.
-States carry their pinned keys, so the intern table grows with the contexts
-and memos; at _TABLE_CAP states every table is dropped.  A walk with a target
-drops the states that cannot reach it before each step, and the caller reads
-the target's weight.
+Transition tables are shared across calls, as (state, weight) pairs keyed by
+what a result depends on: one context per (q, sorted pinned support) memoises
+up-moves, and _down holds each state's down-moves, which read neither.  The
+leaves of a transition build canonical entries tuples from valid partitions,
+and a state's Label is built once, unchecked, when its entries are first
+interned in _states; Label's checks run only on what callers pass in.  States
+carry their pinned keys, so _states grows with the memos; at _TABLE_CAP states
+the contexts, _states and _down are dropped.  A walk with a target drops the
+states that cannot reach it before each step; the caller reads its weight.
 """
 
 from __future__ import annotations
@@ -61,22 +61,19 @@ def _column_multisets(budget):
 # not a setting.  decompose_perm_module(3m, m, 2) interns 9,829 / 25,075 /
 # 61,264 distinct states at m = 7 / 8 / 9, so m >= 8 drops the tables mid-call.
 _TABLE_CAP = 20_000
-_contexts = {}  # (q, sorted pinned support) -> _Ctx
 _states = {}  # canonical entries -> the one Label object the memos hold for them
+_down = {}  # state -> its down-moves, for every context
 
 
 def _drop_tables():
-    _contexts.clear()
+    _new_context.cache_clear()
     _states.clear()
+    _down.clear()
 
 
 def _context(q, named_context=()):
-    """The shared _Ctx for (q, pinned support); a refused support is not kept."""
-    key = (q, tuple(sorted(named_context)))
-    ctx = _contexts.get(key)
-    if ctx is None:
-        ctx = _contexts[key] = _Ctx(*key)
-    return ctx
+    """The shared _Ctx for (q, pinned support); a refused support raises, so it is not kept."""
+    return _new_context(q, tuple(sorted(named_context)))
 
 
 def _keep(memo, key, out):
@@ -94,24 +91,23 @@ def _keep(memo, key, out):
 
 
 class _Ctx:
-    """Shared transition tables for one (q, pinned support), got from _context."""
+    """Transitions for one (q, pinned support), got from _context; it memoises up-moves."""
 
-    def __init__(self, q, named_context=()):
+    def __init__(self, q, named_context):
         self.q = q
-        self.named_context = tuple(sorted(named_context))
+        self.named_context = named_context
         self.named_by_degree = Counter(key_degree(k) for k in self.named_context)
         for d, used in self.named_by_degree.items():
             if used > pool_size(d, q):
                 raise BadParameters(
                     f"labels need {used} distinct degree-{d} cuspidals; q={q} has {pool_size(d, q)}"
                 )
-        self._down_memo = {}
         self._up_memo = {}
         self._fresh_memo = {}
 
     def down(self, state: Label):
         """Canonical successors of one remove-at-most-one-box-per-row step."""
-        hit = self._down_memo.get(state)
+        hit = _down.get(state)
         if hit is not None:
             return hit
         keys = [k for k, _ in state.entries]
@@ -131,7 +127,7 @@ class _Ctx:
                     rec(idx + 1, acc)
 
         rec(0, {})
-        return _keep(self._down_memo, state, out)
+        return _keep(_down, state, out)
 
     def up(self, state: Label, target_norm: int):
         """Canonical successors of one add-at-most-one-box-per-row step.
@@ -186,6 +182,9 @@ class _Ctx:
 
         rec(0, budget, {})
         return _keep(self._up_memo, memo_key, out)
+
+
+_new_context = lru_cache(maxsize=None)(_Ctx)  # (q, sorted pinned support) -> _Ctx
 
 
 def _rows_close(a, b, r):

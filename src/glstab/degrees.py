@@ -13,7 +13,6 @@ dict.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from math import prod
 
 from . import partitions as pt
@@ -77,7 +76,6 @@ def _mobius(n) -> int:
     return -out if n > 1 else out
 
 
-@lru_cache(maxsize=None)
 def cuspidal_count(d, q) -> int:
     """Number of cuspidals of degree d at field size q (Moebius inversion)."""
     if d < 1:

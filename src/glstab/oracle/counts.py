@@ -12,15 +12,14 @@ directly in reduced echelon form (one Schubert cell per pivot set), and
 pairs it with the injections whose image it complements, as cosets of the
 complement.  Each generator's action keeps its own table from complement to
 reduced image (and from map part to image), so it reduces each complement
-subspace at most once.  The tables of one `_space` call and of one
-`_orbit_data` call live only inside it, so no table carries over from one
-computation to the next.
+subspace at most once.  No table outlives its call: `_space` and
+`_orbit_data` keep nothing, and `weakstab_sequence`, the one caller that
+compares two sizes, holds only the previous size's representatives.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
-from itertools import combinations, product
+from itertools import combinations, count, product
 
 from ..degrees import gl_order, vic_hom_count
 from ..errors import BadParameters, GuardExceeded, InvariantViolated
@@ -138,7 +137,6 @@ def _matvec_table(h_rows, n, q, F):
     return table
 
 
-@lru_cache(maxsize=4)
 def _space(m, n, q):
     """All packed points of the morphism space, plus the field width in bits.
 
@@ -193,6 +191,7 @@ def _space(m, n, q):
                 for a in range(1, size)
             ]
             fill([key], 0, frozenset((0,)), cosets)
+    del fill  # it refers to itself: unbound, it and its tables go now, not at a later GC
     total = vic_hom_count(m, n, q)
     if len(points) != total:
         raise InvariantViolated(f"built {len(points)} points of ({m},{n},{q}); expected {total}")
@@ -255,7 +254,6 @@ def _make_action(table, m, n, q, S):
     return act
 
 
-@lru_cache(maxsize=8)
 def _orbit_data(m, n, q, ell):
     """Orbits of the block subgroup diag(1_ell, GL_{n-ell}) on the morphism space."""
     points, S = _space(m, n, q)
@@ -302,6 +300,20 @@ def _embed_point(key, m, n, q, S_old, S_new):
     return out
 
 
+def weakstab_sequence(ell, m, r, q):
+    """Yield (classes, onto) at r, r + 1, ...: the orbits of diag(1_ell, G_r) on the
+    morphisms from F_q^m to F_q^{ell+r}, and whether the classes one size down,
+    embedded via g -> diag(g, 1), reach every class here (None at the first r).
+    No table outlives its step: only the previous size's representatives are kept."""
+    prev = S0 = onto = None
+    for n in count(ell + r):
+        reps, labels, S = _orbit_data(m, n, q, ell)
+        if prev is not None:
+            onto = len({labels[_embed_point(p, m, n - 1, q, S0, S)] for p in prev}) == len(reps)
+        prev, S0, labels = reps, S, None  # the orbit table is dropped before the yield
+        yield len(reps), onto
+
+
 def weakstab_map_surjective(ell, m, r, q) -> bool:
     """Does every double-coset class at size n+1 come from one at size n?
 
@@ -309,11 +321,9 @@ def weakstab_map_surjective(ell, m, r, q) -> bool:
     among the classes at n + 1 under the one-larger block subgroup.  The map
     is onto once r >= m + min(m, ell); a smaller r is computed all the same.
     """
-    n = ell + r
-    reps, _, S_old = _orbit_data(m, n, q, ell)
-    reps1, labels1, S_new = _orbit_data(m, n + 1, q, ell)
-    hit = {labels1[_embed_point(p, m, n, q, S_old, S_new)] for p in reps}
-    return len(hit) == len(reps1)
+    steps = weakstab_sequence(ell, m, r, q)
+    next(steps)
+    return next(steps)[1]
 
 
 def conjugacy_class_count(n, q) -> int:

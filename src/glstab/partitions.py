@@ -68,8 +68,6 @@ def up_set(lam, target_size) -> tuple:
     length 1 could be appended.
     """
     b = target_size - size(lam)
-    if b < 0:
-        return ()
     k = len(lam)
     out = set()
     for j in range(min(b, k) + 1):
@@ -79,8 +77,6 @@ def up_set(lam, target_size) -> tuple:
             for i in grow:
                 rows[i] += 1
             if any(rows[i] < rows[i + 1] for i in range(k - 1)):
-                continue
-            if t > 0 and k > 0 and rows[-1] < 1:
                 continue
             out.add(tuple(rows) + (1,) * t)
     return tuple(sorted(out, key=part_sort_key))

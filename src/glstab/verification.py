@@ -27,8 +27,7 @@ from .oracle.counts import (
     conjugacy_class_count,
     double_cosets_gl,
     enumerate_group,
-    weakstab_cosets,
-    weakstab_map_surjective,
+    weakstab_sequence,
 )
 from .oracle.vic import vic_morphisms
 from .stability import (
@@ -267,29 +266,20 @@ def check_free_module_polynomial(quick=False):
 def check_weak_stability(quick=False):
     """10: double-coset counts stabilize at s = m + min(m, l) and the
     inclusion-induced class map is onto from there on."""
-    settings = [(1, 1), (2, 1), (1, 2)]
-    if quick:
-        settings = [(1, 1), (2, 1)]
+    settings = [(1, 1), (2, 1)] + ([] if quick else [(1, 2)])
     out = []
     for ell, m in settings:
         s = m + min(m, ell)
-        counts = [weakstab_cosets(ell, m, r, 2) for r in range(s, s + 3)]
-        constant = len(set(counts)) == 1
-        surj = []
-        skipped = []
-        for r in range(s, s + 3):
-            try:
-                surj.append(weakstab_map_surjective(ell, m, r, 2))
-            except GuardExceeded:
-                skipped.append(r)
-        name = f"weakstab_l{ell}_m{m}"
+        steps = weakstab_sequence(ell, m, s, 2)  # r = s, s + 1, ...; s + 3 may meet the guard
+        first = [next(steps) for _ in range(3)]
+        counts, surj, skipped = [c for c, _ in first], [onto for _, onto in first[1:]], []
+        try:
+            surj.append(next(steps)[1])
+        except GuardExceeded:
+            skipped.append(s + 2)
+        ok = len(set(counts)) == 1 and all(surj)
         detail = f"counts={counts} surjective={surj} guard_skipped_r={skipped}"
-        if not constant or not all(surj):
-            out.append(CheckResult(10, name, FAIL, detail))
-        elif not surj:
-            out.append(CheckResult(10, name, SKIP, detail))
-        else:
-            out.append(CheckResult(10, name, PASS, detail))
+        out.append(_result(10, f"weakstab_l{ell}_m{m}", ok, detail))
     return out
 
 

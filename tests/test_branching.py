@@ -26,6 +26,7 @@ from glstab.labels import (
     enumerate_shapes,
     label_of_shape,
     make_shape,
+    named_key,
     pad,
     shape_of,
     trivial_label,
@@ -206,13 +207,22 @@ def test_distribution_total_weight_is_module_dimension_free_part():
 def test_refused_support_is_refused_every_time():
     """A refused pinned support leaves no shared context behind to answer a retry."""
     nu, mu = Label({anon_key(1, 0): (1,)}), Label({anon_key(1, 0): (2,)})
-    before = dict(branching._contexts)
+    before = branching._new_context.cache_info().currsize
     for _ in range(2):
         with pytest.raises(BadParameters):
             count_zigzag(nu, mu, 1, 2)
         with pytest.raises(BadParameters):
             restrict_step(mu, 2)
-    assert branching._contexts == before
+    assert branching._new_context.cache_info().currsize == before
+
+
+def test_down_moves_are_one_table_for_every_context():
+    """A down-move reads neither q nor the pinned support, so every context
+    answers a state from the one down table."""
+    s = canonical(Label({IOTA: (2, 1), anon_key(2, 0): (1,)}))
+    first = branching._context(3, ()).down(s)
+    assert branching._context(3, (named_key(1, "pin0"),)).down(s) is first
+    assert branching._context(2, ()).down(s) is first
 
 
 def _h_bijection_items():

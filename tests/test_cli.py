@@ -217,13 +217,9 @@ def test_action_leaving_the_space_exits_1(monkeypatch):
     import glstab.oracle.counts as counts
 
     monkeypatch.setattr(counts, "_make_action", lambda *args: (lambda key: -1))
-    counts._orbit_data.cache_clear()
     err = io.StringIO()
-    try:
-        with redirect_stderr(err):
-            code, out = run_cli(["oracle", "double-cosets", "--n", "3", "--m", "1", "--q", "2"])
-    finally:
-        counts._orbit_data.cache_clear()
+    with redirect_stderr(err):
+        code, out = run_cli(["oracle", "double-cosets", "--n", "3", "--m", "1", "--q", "2"])
     assert (code, out) == (1, "")
     assert json.loads(err.getvalue())["error"] == "invariant_violated"
 

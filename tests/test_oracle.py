@@ -4,6 +4,8 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -39,6 +41,7 @@ from glstab.oracle.vic import (
     standard_morphism,
     vic_morphisms,
 )
+from glstab.verification import check_weak_stability
 
 
 def bfs_closure(F, gens, n):
@@ -153,12 +156,8 @@ def test_space_build_does_no_row_reduction(monkeypatch):
     monkeypatch.setattr(counts, "_rref_packed", forbidden)
     monkeypatch.setattr(counts, "_rref_bits", forbidden)
     monkeypatch.setattr(mx, "rref", forbidden)
-    _space.cache_clear()
-    try:
-        for args in cases:
-            assert _space(*args) == expected[args], args
-    finally:
-        _space.cache_clear()
+    for args in cases:
+        assert _space(*args) == expected[args], args
 
 
 def test_vic_morphisms_at_m0_skip_row_reduction(monkeypatch):
@@ -332,6 +331,35 @@ def test_weakstab_surjectivity_threshold():
     assert weakstab_map_surjective(1, 1, 3, 2)
     # below the threshold s = 2 the answer is computed all the same
     assert isinstance(weakstab_map_surjective(1, 1, 1, 2), bool)
+
+
+def test_oracle_keeps_no_table_between_calls():
+    """Once the field tables exist, two oracle computations leave traced memory
+    where it was: no points or orbit table outlives its call."""
+    double_cosets_gl(2, 1, 2)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        double_cosets_gl(5, 2, 2)
+        weakstab_map_surjective(2, 1, 4, 2)
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert grown < 64 * 1024, grown
+
+
+def test_weak_stability_builds_each_orbit_table_once(monkeypatch):
+    """Criterion 10 reads its counts and its maps from one walk over the sizes."""
+    built = Counter()
+    orbit_data = counts._orbit_data
+
+    def counted(*args):
+        built[args] += 1
+        return orbit_data(*args)
+
+    monkeypatch.setattr(counts, "_orbit_data", counted)
+    assert [r.status for r in check_weak_stability(quick=True)] == ["PASS", "PASS"]
+    assert built and max(built.values()) == 1, built
 
 
 def test_conjugacy_class_counts():

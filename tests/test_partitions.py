@@ -56,7 +56,7 @@ def test_down_set_is_exactly_the_arrow_predecessors():
 def test_up_set_is_exactly_the_arrow_successors_of_given_size():
     universe = all_partitions_up_to(8)
     for lam in universe:
-        for target in range(sum(lam), 9):
+        for target in range(sum(lam) - 2, 9):
             expected = {
                 mu for mu in universe if sum(mu) == target and pt.arrow_up(lam, mu)
             }
