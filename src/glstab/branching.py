@@ -127,6 +127,7 @@ class _Ctx:
                     rec(idx + 1, acc)
 
         rec(0, {})
+        del rec  # it refers to itself: unbound, its cycle and `out` go now, not at a later GC
         return _keep(_down, state, out)
 
     def up(self, state: Label, target_norm: int):
@@ -181,6 +182,7 @@ class _Ctx:
                         rec(idx + 1, remaining - d * b, acc)
 
         rec(0, budget, {})
+        del rec  # as in down
         return _keep(self._up_memo, memo_key, out)
 
 

@@ -10,11 +10,11 @@ matrix-times-vector table.
 The space build does no row reduction: it lists each complement once,
 directly in reduced echelon form (one Schubert cell per pivot set), and
 pairs it with the injections whose image it complements, as cosets of the
-complement.  Each generator's action keeps its own table from complement to
-reduced image (and from map part to image), so it reduces each complement
-subspace at most once.  No table outlives its call: `_space` and
-`_orbit_data` keep nothing, and `weakstab_sequence`, the one caller that
-compares two sizes, holds only the previous size's representatives.
+complement.  The orbit search numbers a point a*w + b by the ranks of its map
+part and of its complement among the w complements; a generator is the ranks
+of every part's image.  No table outlives its call, and `weakstab_sequence`,
+the one caller that compares two sizes, holds only the previous size's
+representatives.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from ..degrees import gl_order, vic_hom_count
 from ..errors import BadParameters, GuardExceeded, InvariantViolated
 from . import matrices as mx
 from .fields import field
-from .orbits import orbit_partition
+from .orbits import orbit_count, orbit_partition
 from .vic import space_size
 
 GROUP_SCAN_GUARD = 2**24
@@ -212,57 +212,54 @@ def _block_subgroup_generators(ell, q, n):
     return gens
 
 
-def _make_action(table, m, n, q, S):
-    """The generator's action on packed points.
-
-    A point splits into its map part (the high bits) and its complement (the
-    low S*(n-m) bits), and each part's image is kept in a table local to this
-    generator: map columns go through the matvec table, and a complement's
-    rows go through it and are row-reduced, once per distinct part.
-    """
-    F = field(q)
+def _part_image(table, part, rows, S, reduce=tuple):
+    """A point part's image: its `rows` S-bit vectors, highest first, each sent
+    through the matvec table, passed through `reduce` and packed again."""
     mask = (1 << S) - 1
-    r = n - m
-    k_bits = S * r
-    k_mask = (1 << k_bits) - 1
-    m_image = {}  # map part -> its image, already shifted above the complement
-    k_image = {}  # complement -> its image in reduced echelon form
+    out = 0
+    for v in reduce([table[part >> S * i & mask] for i in range(rows - 1, -1, -1)]):
+        out = (out << S) | v
+    return out
 
-    def act(key):
-        low = key & k_mask
-        img = k_image.get(low)
-        if img is None:
-            rows, k = [], low
-            for _ in range(r):
-                rows.append(table[k & mask])
-                k >>= S
-            img = 0
-            for v in _rref_packed(rows, n, q, F):
-                img = (img << S) | v
-            k_image[low] = img
-        high = key >> k_bits
-        out = m_image.get(high)
-        if out is None:
-            out, k, shift = 0, high, k_bits
-            for _ in range(m):
-                out |= table[k & mask] << shift
-                k >>= S
-                shift += S
-            m_image[high] = out
-        return out | img
 
-    return act
+def _ranks(images, rank):
+    """The rank of each image among the parts; refuses an image that is none."""
+    try:
+        return [rank[x] for x in images]
+    except KeyError as exc:
+        raise InvariantViolated(f"part image {exc.args[0]} is not a part of a point") from None
 
 
 def _orbit_data(m, n, q, ell):
-    """Orbits of the block subgroup diag(1_ell, GL_{n-ell}) on the morphism space."""
+    """Orbits of the block subgroup diag(1_ell, GL_{n-ell}) on the morphism space:
+    the representatives as packed points, the orbit index of a packed point, and S."""
     points, S = _space(m, n, q)
-    actions = [
-        _make_action(_matvec_table(h, n, q, field(q)), m, n, q, S)
-        for h in _block_subgroup_generators(ell, q, n)
-    ]
-    reps, labels = orbit_partition(points, actions)
-    return tuple(reps), labels, S
+    F = field(q)
+    k_bits = S * (n - m)
+    k_mask = (1 << k_bits) - 1
+    highs = sorted({p >> k_bits for p in points})
+    lows = sorted({p & k_mask for p in points})
+    w = len(lows)
+    high_rank = {x: i * w for i, x in enumerate(highs)}  # the number of (x, the first complement)
+    low_rank = {x: i for i, x in enumerate(lows)}
+    actions = []
+    for h in _block_subgroup_generators(ell, q, n):
+        table = _matvec_table(h, n, q, F)
+        outer = [_part_image(table, x, m, S) for x in highs]
+        inner = [_part_image(table, x, n - m, S, lambda rows: _rref_packed(rows, n, q, F)) for x in lows]
+        actions.append((_ranks(outer, high_rank), _ranks(inner, low_rank)))
+    numbers = (high_rank[p >> k_bits] + low_rank[p & k_mask] for p in points)
+    del points  # the search holds only numbers: the packed points go once they are numbered
+    size = len(highs) * w
+    reps, labels = orbit_partition(numbers, size, actions)
+
+    def label(key):
+        x = high_rank.get(key >> k_bits, size) + low_rank.get(key & k_mask, size)
+        if x >= size or labels[x] < 0:
+            raise InvariantViolated(f"{key} is not a point of ({m},{n},{q})")
+        return labels[x]
+
+    return tuple(highs[a] << k_bits | lows[b] for a, b in (divmod(x, w) for x in reps)), label, S
 
 
 def double_cosets_gl(n, m, q) -> int:
@@ -307,10 +304,10 @@ def weakstab_sequence(ell, m, r, q):
     No table outlives its step: only the previous size's representatives are kept."""
     prev = S0 = onto = None
     for n in count(ell + r):
-        reps, labels, S = _orbit_data(m, n, q, ell)
+        reps, label, S = _orbit_data(m, n, q, ell)
         if prev is not None:
-            onto = len({labels[_embed_point(p, m, n - 1, q, S0, S)] for p in prev}) == len(reps)
-        prev, S0, labels = reps, S, None  # the orbit table is dropped before the yield
+            onto = len({label(_embed_point(p, m, n - 1, q, S0, S)) for p in prev}) == len(reps)
+        prev, S0, label = reps, S, None  # the orbit table is dropped before the yield
         yield len(reps), onto
 
 
@@ -342,4 +339,4 @@ def conjugacy_class_count(n, q) -> int:
     for g in group_generators(n, q):
         ginv = mx.inverse(F, g)
         actions.append(lambda x, g=g, ginv=ginv: mx.mat_mul(F, mx.mat_mul(F, g, x), ginv))
-    return len(orbit_partition(elements, actions)[0])
+    return orbit_count(elements, actions)

@@ -1,5 +1,6 @@
 """Zigzag path counting, one-step restriction, and full decompositions."""
 
+import gc
 import os
 import random
 import subprocess
@@ -176,6 +177,20 @@ def test_decomposition_invariants_survive_optimize_flag():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("raised dimension identity fails")
+
+
+def test_dp_walks_leave_no_reference_cycles():
+    """_Ctx.down and up unbind their recursive walkers, so what a decomposition
+    leaves behind goes by reference counting, not at a later cyclic GC."""
+    branching._drop_tables()
+    gc.collect()
+    gc.disable()
+    try:
+        decompose_perm_module(12, 4, 2)
+        unreachable = gc.collect()
+    finally:
+        gc.enable()
+    assert unreachable < 1000, unreachable
 
 
 def test_zigzag_recursion_consistency():

@@ -216,10 +216,23 @@ def test_shape_count_is_bounded_before_expansion():
 def test_action_leaving_the_space_exits_1(monkeypatch):
     import glstab.oracle.counts as counts
 
-    monkeypatch.setattr(counts, "_make_action", lambda *args: (lambda key: -1))
+    monkeypatch.setattr(counts, "_part_image", lambda *args: -1)
     err = io.StringIO()
     with redirect_stderr(err):
         code, out = run_cli(["oracle", "double-cosets", "--n", "3", "--m", "1", "--q", "2"])
+    assert (code, out) == (1, "")
+    assert json.loads(err.getvalue())["error"] == "invariant_violated"
+
+
+def test_bad_embedding_exits_1(monkeypatch):
+    """A representative embedded outside the next size's points is an invariant
+    violation, reported as JSON, not a KeyError traceback."""
+    import glstab.oracle.counts as counts
+
+    monkeypatch.setattr(counts, "_embed_point", lambda *args: -1)
+    err = io.StringIO()
+    with redirect_stderr(err):
+        code, out = run_cli(["verify", "--suite", "weakstab"])
     assert (code, out) == (1, "")
     assert json.loads(err.getvalue())["error"] == "invariant_violated"
 

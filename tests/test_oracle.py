@@ -21,8 +21,10 @@ from glstab.oracle import matrices as mx
 from glstab.oracle.counts import (
     _block_subgroup_generators,
     _embed_point,
-    _make_action,
     _matvec_table,
+    _orbit_data,
+    _part_image,
+    _rref_packed,
     _space,
     conjugacy_class_count,
     double_cosets_gl,
@@ -32,7 +34,7 @@ from glstab.oracle.counts import (
     weakstab_map_surjective,
 )
 from glstab.oracle.fields import field
-from glstab.oracle.orbits import burnside_count, orbit_count, orbit_partition
+from glstab.oracle.orbits import NOT_A_POINT, burnside_count, orbit_count, orbit_partition
 from glstab.oracle.vic import (
     VicMorphism,
     compose,
@@ -171,19 +173,90 @@ def test_vic_morphisms_at_m0_skip_row_reduction(monkeypatch):
         assert vic_morphisms(0, n, q) == [standard_morphism(0, n, q)]
 
 
-@pytest.mark.parametrize(
-    "m,n,q,ell",
-    [(1, 3, 2, 1), (2, 3, 2, 1), (2, 4, 2, 2), (1, 3, 3, 0), (2, 3, 3, 1), (1, 3, 4, 1), (1, 2, 4, 0)],
-)
+ORBIT_CASES = [(1, 3, 2, 1), (2, 3, 2, 1), (2, 4, 2, 2), (1, 3, 3, 0), (2, 3, 3, 1), (1, 3, 4, 1), (1, 2, 4, 0)]
+
+
+@pytest.mark.parametrize("m,n,q,ell", ORBIT_CASES)
 def test_packed_action_equals_object_action(m, n, q, ell):
-    """Every block generator moves every packed point as composition moves the morphism."""
+    """Every block generator moves every packed point, part by part, as composition
+    moves the morphism: the map part's image and the complement's reduced image,
+    reassembled, are the packed image."""
     F = field(q)
     S = (q**n - 1).bit_length()
+    k_bits = S * (n - m)
     points = vic_morphisms(m, n, q)
     for h in _block_subgroup_generators(ell, q, n):
-        act = _make_action(_matvec_table(h, n, q, F), m, n, q, S)
+        table = _matvec_table(h, n, q, F)
         for v in points:
-            assert act(pack_vic(v, S)) == pack_vic(postcompose(F, h, v), S), (h, v)
+            key = pack_vic(v, S)
+            high = _part_image(table, key >> k_bits, m, S)
+            low = _part_image(table, key & (1 << k_bits) - 1, n - m, S,
+                              lambda rows: _rref_packed(rows, n, q, F))
+            assert high << k_bits | low == pack_vic(postcompose(F, h, v), S), (h, v)
+
+
+def object_orbits(points, actions):
+    """The orbits as sets, by plain closure under the actions."""
+    left, orbits = set(points), []
+    while left:
+        orbit, frontier = set(), [left.pop()]
+        while frontier:
+            p = frontier.pop()
+            orbit.add(p)
+            frontier += [img for act in actions if (img := act(p)) not in orbit]
+        left -= orbit
+        orbits.append(frozenset(orbit))
+    return set(orbits)
+
+
+@pytest.mark.parametrize("m,n,q,ell", ORBIT_CASES)
+def test_numbered_orbits_are_the_object_orbits(m, n, q, ell):
+    """_orbit_data's partition of the packed points, read back through its label
+    lookup, is the partition of the morphisms under composition."""
+    F = field(q)
+    points = vic_morphisms(m, n, q)
+    images = [{v: postcompose(F, h, v) for v in points} for h in _block_subgroup_generators(ell, q, n)]
+    actions = [image.__getitem__ for image in images]
+    reps, label, S = _orbit_data(m, n, q, ell)
+    numbered = {}
+    for v in points:
+        numbered.setdefault(label(pack_vic(v, S)), set()).add(pack_vic(v, S))
+    expected = object_orbits(points, actions)
+    assert {frozenset(o) for o in numbered.values()} == {
+        frozenset(pack_vic(v, S) for v in orbit) for orbit in expected
+    }
+    assert sorted(numbered) == list(range(len(reps))) == [label(r) for r in reps]
+    assert len(reps) == orbit_count(points, actions) == len(expected)
+
+
+def test_part_image_outside_the_parts_is_refused(monkeypatch):
+    monkeypatch.setattr(counts, "_part_image", lambda *args: -1)
+    with pytest.raises(InvariantViolated, match="part image -1 is not a part"):
+        double_cosets_gl(3, 1, 2)
+
+
+def test_known_parts_that_are_no_point_are_refused(monkeypatch):
+    """A point left out of the space still has both parts among the others', so
+    its number is known; the search refuses to reach it."""
+    space = counts._space
+
+    def short(m, n, q):
+        points, S = space(m, n, q)
+        k_bits = S * (n - m)
+        dropped, rest = points[0], points[1:]
+        assert any(p >> k_bits == dropped >> k_bits for p in rest)
+        assert any((p ^ dropped) & (1 << k_bits) - 1 == 0 for p in rest)
+        return rest, S
+
+    monkeypatch.setattr(counts, "_space", short)
+    with pytest.raises(InvariantViolated, match="is not a point"):
+        double_cosets_gl(3, 1, 2)
+
+
+def test_bad_embedding_is_refused(monkeypatch):
+    monkeypatch.setattr(counts, "_embed_point", lambda *args: -1)
+    with pytest.raises(InvariantViolated, match="-1 is not a point of"):
+        weakstab_map_surjective(2, 1, 4, 2)
 
 
 @pytest.mark.parametrize(
@@ -249,15 +322,18 @@ def test_orbit_count_raises_when_not_closed():
 def test_orbit_partition_labels_every_point_by_its_orbit():
     F = field(2)
     points = vic_morphisms(1, 3, 2)
+    index = {v: i for i, v in enumerate(points)}
     a = ((1, 0, 0), (0, 0, 1), (0, 1, 0))
     b = ((1, 0, 0), (0, 1, 1), (0, 0, 1))
+    # number i is points[i] and i + len(points) is no point; one part, so w = 1
+    size = 2 * len(points)
     for gens in ([], [a], [a, b]):
-        actions = [lambda v, h=h: postcompose(F, h, v) for h in gens]
-        reps, labels = orbit_partition(points, actions)
-        assert set(labels) == set(points)
-        assert sorted(set(labels.values())) == list(range(len(reps)))
+        actions = [([index[postcompose(F, h, v)] for v in points], [0]) for h in gens]
+        reps, labels = orbit_partition(range(len(points)), size, actions)
+        assert [x for x in range(size) if labels[x] != NOT_A_POINT] == list(range(len(points)))
+        assert sorted(set(labels[: len(points)])) == list(range(len(reps)))
         assert [labels[r] for r in reps] == list(range(len(reps)))
-        assert all(labels[act(p)] == labels[p] for act in actions for p in points)
+        assert all(labels[outer[p]] == labels[p] for outer, _ in actions for p in range(len(points)))
     assert len(reps) == 7
 
 
