@@ -8,6 +8,11 @@ an unordered multiset, and a transition that activates fresh anonymous
 cuspidals is weighted by the number of ways to draw distinct concrete
 cuspidals from the pool at field size q.
 
+Both moves are flat: a down-move is one product over the entries' down_sets;
+an up-move folds the keys that may grow into (items, budget left) pairs, and
+each takes fresh anonymous columns from one cache keyed by (q, cuspidals used
+per degree, budget).  _step is one down/up pair.
+
 Transition tables are shared across calls, as (state, weight) pairs keyed by
 what a result depends on: one context per (q, sorted pinned support) memoises
 up-moves, and _down holds each state's down-moves, which read neither.  The
@@ -24,6 +29,7 @@ from __future__ import annotations
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import product
 
 from . import partitions as pt
 from .degrees import degree_poly, prime_power, vic_hom_count
@@ -48,13 +54,19 @@ from .labels import (
 
 
 @lru_cache(maxsize=None)
-def _column_multisets(budget):
-    """Multisets of (degree, height) with sum degree*height = budget, height >= 1."""
+def _fresh_columns(q, used, budget):
+    """(columns, draw weight) pairs, weight nonzero, of fresh anonymous columns filling
+    budget; used lists (degree, cuspidals in use).  Each columns tuple holds (key, rows)
+    items, all on slot 0: canonical_entries renumbers the slots."""
     cols = sorted(
         ((d, k) for d in range(1, budget + 1) for k in range(1, budget // d + 1)),
         reverse=True,
     )
-    return tuple(weighted_multisets([(d * k, (d, k)) for d, k in cols], budget))
+    return tuple(
+        (tuple((anon_key(d, 0), (1,) * k) for d, k in multiset), w)
+        for multiset in weighted_multisets([(d * k, (d, k)) for d, k in cols], budget)
+        if (w := draws(multiset, q, dict(used)))
+    )
 
 
 # Interned states at which every shared table is dropped: a memory bound,
@@ -103,31 +115,15 @@ class _Ctx:
                     f"labels need {used} distinct degree-{d} cuspidals; q={q} has {pool_size(d, q)}"
                 )
         self._up_memo = {}
-        self._fresh_memo = {}
 
     def down(self, state: Label):
         """Canonical successors of one remove-at-most-one-box-per-row step."""
         hit = _down.get(state)
         if hit is not None:
             return hit
-        keys = [k for k, _ in state.entries]
         out = defaultdict(int)
-
-        def rec(idx, acc):
-            if idx == len(keys):
-                out[canonical_entries(acc.items())] += 1
-                return
-            key = keys[idx]
-            for rows in pt.down_set(state.get(key)):
-                if rows:
-                    acc[key] = rows
-                    rec(idx + 1, acc)
-                    del acc[key]
-                else:
-                    rec(idx + 1, acc)
-
-        rec(0, {})
-        del rec  # it refers to itself: unbound, its cycle and `out` go now, not at a later GC
+        for choice in product(*(pt.down_set(rows) for _, rows in state.entries)):
+            out[canonical_entries([(k, r) for (k, _), r in zip(state.entries, choice) if r])] += 1
         return _keep(_down, state, out)
 
     def up(self, state: Label, target_norm: int):
@@ -141,48 +137,23 @@ class _Ctx:
         hit = self._up_memo.get(memo_key)
         if hit is not None:
             return hit
-        budget = target_norm - state.norm()
-        out = defaultdict(int)
-        if budget < 0:
-            return _keep(self._up_memo, memo_key, out)
-        keys = [IOTA, *self.named_context]
-        keys += [k for k, _ in state.entries if k[0] == "anon"]
-        active_anon = Counter(
-            key_degree(k) for k, _ in state.entries if k[0] == "anon"
-        )
-        used = self.named_by_degree + active_anon
-        next_slot = sum(active_anon.values())
-        # remaining budget -> fresh columns with nonzero weight, as (key, rows) items
-        # on new slots; both depend only on the budget and the cuspidals used per degree
-        fresh = self._fresh_memo.setdefault(tuple(sorted(used.items())), {})
-
-        def rec(idx, remaining, acc):
-            if idx == len(keys):
-                if remaining not in fresh:
-                    fresh[remaining] = [
-                        (tuple((anon_key(d, next_slot + j), (1,) * k)
-                               for j, (d, k) in enumerate(cols)), w)
-                        for cols in _column_multisets(remaining)
-                        if (w := draws(cols, self.q, used))
-                    ]
-                for columns, w in fresh[remaining]:
-                    out[canonical_entries([*acc.items(), *columns])] += w
-                return
-            key = keys[idx]
-            d = key_degree(key)
-            rows = state.get(key)
+        active = [k for k, _ in state.entries if k[0] == "anon"]
+        used = tuple(sorted((self.named_by_degree + Counter(map(key_degree, active))).items()))
+        # (items so far, budget left), folded over the keys that may grow
+        partial = [((), target_norm - state.norm())]
+        for key in [IOTA, *self.named_context, *active]:
+            d, rows = key_degree(key), state.get(key)
             base = sum(rows)
-            for b in range(remaining // d + 1):
-                for new_rows in pt.up_set(rows, base + b):
-                    if new_rows:
-                        acc[key] = new_rows
-                        rec(idx + 1, remaining - d * b, acc)
-                        del acc[key]
-                    else:
-                        rec(idx + 1, remaining - d * b, acc)
-
-        rec(0, budget, {})
-        del rec  # as in down
+            partial = [
+                (items + ((key, new_rows),) if new_rows else items, left - d * b)
+                for items, left in partial
+                for b in range(left // d + 1)
+                for new_rows in pt.up_set(rows, base + b)
+            ]
+        out = defaultdict(int)
+        for items, left in partial:
+            for columns, w in _fresh_columns(self.q, used, left):
+                out[canonical_entries(items + columns)] += w
         return _keep(self._up_memo, memo_key, out)
 
 
@@ -219,6 +190,19 @@ def _pinned(*labels):
     return pinned, tuple({k for lab in pinned for k in lab.support() if k[0] == "named"})
 
 
+def _step(ctx, states, norm):
+    """Weights after one down/up pair that ends at the given norm."""
+    after_down = defaultdict(int)
+    for st, w in states.items():
+        for succ, c in ctx.down(st):
+            after_down[succ] += w * c
+    after_up = defaultdict(int)
+    for st, w in after_down.items():
+        for succ, c in ctx.up(st, norm):
+            after_up[succ] += w * c
+    return dict(after_up)
+
+
 def zigzag_distribution(start: Label, m: int, q: int, named_context=(), target=None):
     """Path-count weights over canonical states after m down/up pairs."""
     ctx = _context(q, named_context)
@@ -228,15 +212,7 @@ def zigzag_distribution(start: Label, m: int, q: int, named_context=(), target=N
         if target is not None:
             r = m - s + 1
             states = {st: w for st, w in states.items() if _can_reach(st, target, r)}
-        after_down = defaultdict(int)
-        for st, w in states.items():
-            for succ, c in ctx.down(st):
-                after_down[succ] += w * c
-        new_states = defaultdict(int)
-        for st, w in after_down.items():
-            for succ, c in ctx.up(st, n0 + s):
-                new_states[succ] += w * c
-        states = dict(new_states)
+        states = _step(ctx, states, n0 + s)
     if target is not None:
         return {target: states[target]} if target in states else {}
     return states
@@ -367,10 +343,7 @@ def restrict_step(mu: Label, q: int) -> list:
     (mu_p,), context = _pinned(mu)
     mu_p = canonical(mu_p)
     ctx = _context(q, context)
-    weights = defaultdict(int)
-    for lam, c_down in ctx.down(mu_p):
-        for nu_state, c_up in ctx.up(lam, mu_p.norm() - 1):
-            weights[nu_state] += c_down * c_up
+    weights = _step(ctx, {mu_p: 1}, mu_p.norm() - 1)
     out = []
     for nu_state, w in sorted(weights.items(), key=lambda kv: kv[0].entries):
         anon = [(key_degree(k), r) for k, r in nu_state.entries if k[0] == "anon"]

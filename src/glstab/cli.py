@@ -44,7 +44,10 @@ def _check_q(q, oracle=False):
 
 def _check_size(m, n_max, q, rows):
     """Refuse more than MAX_ROWS sizes or numbers of more than MAX_DIGITS digits: each
-    is at most vic_hom_count(m, n, q) < q**(m * (2n - m)) or a dims denominator q**(m * m)."""
+    is at most vic_hom_count(m, n, q) < q**(m * (2n - m)) or a dims denominator q**(m * m).
+    An n_max below m leaves no size, so it is refused too."""
+    if n_max < m:
+        raise BadParameters(f"no size n with m={m} <= n <= {n_max}")
     if rows > MAX_ROWS or m * max(m, 2 * n_max - m) * math.log10(q) > MAX_DIGITS:
         limits = dict(m=m, n_max=n_max, q=q, rows=MAX_ROWS, digits=MAX_DIGITS)
         raise GuardExceeded("output too large", **limits)
@@ -206,6 +209,8 @@ def cmd_oracle(args, out):
         return _emit_value(conjugacy_class_count(args.n, args.q), args.format, out)
     if args.oracle_cmd == "vic-count":
         return _emit_value(len(vic_morphisms(args.m, args.n, args.q)), args.format, out)
+    if args.r_max < args.m:
+        raise BadParameters(f"need r_max >= m, got r_max={args.r_max}, m={args.m}")
     # weakstab: one count per r, the largest r first so that a size guard refuses at once
     rs = range(args.r_max, args.m - 1, -1)
     values = [weakstab_cosets(args.l, args.m, r, args.q) for r in rs][::-1]

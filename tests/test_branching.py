@@ -5,12 +5,17 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
+from itertools import product
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import glstab
 import glstab.branching as branching
+from glstab import partitions as pt
 from glstab.branching import (
     count_zigzag,
     decompose_perm_module,
@@ -180,8 +185,9 @@ def test_decomposition_invariants_survive_optimize_flag():
 
 
 def test_dp_walks_leave_no_reference_cycles():
-    """_Ctx.down and up unbind their recursive walkers, so what a decomposition
-    leaves behind goes by reference counting, not at a later cyclic GC."""
+    """_Ctx.down and up are flat loops that build no self-referencing closure,
+    so what a decomposition leaves behind goes by reference counting, not at a
+    later cyclic GC."""
     branching._drop_tables()
     gc.collect()
     gc.disable()
@@ -238,6 +244,39 @@ def test_down_moves_are_one_table_for_every_context():
     first = branching._context(3, ()).down(s)
     assert branching._context(3, (named_key(1, "pin0"),)).down(s) is first
     assert branching._context(2, ()).down(s) is first
+
+
+small_states = st.builds(
+    lambda iota, anon: canonical(
+        Label([(IOTA, iota)] + [(anon_key(d, j), rows) for j, (d, rows) in enumerate(anon)])
+    ),
+    st.integers(0, 5).flatmap(lambda n: st.sampled_from(pt.partitions_of(n))),
+    st.lists(
+        st.tuples(
+            st.integers(1, 3),
+            st.integers(1, 4).flatmap(lambda n: st.sampled_from(pt.partitions_of(n))),
+        ),
+        max_size=2,
+    ),
+).filter(lambda s: s.norm() <= 7)
+
+
+@given(small_states)
+def test_down_move_matches_brute_force(state):
+    """_Ctx.down counts, per canonical result, the choices of one lam per entry
+    with arrow_up(lam, rows), listed here from all partitions of nearby sizes."""
+    choices = [
+        [
+            (key, lam)
+            for size in range(sum(rows) - len(rows), sum(rows) + 1)
+            for lam in pt.partitions_of(size)
+            if pt.arrow_up(lam, rows)
+        ]
+        for key, rows in state.entries
+    ]
+    expected = Counter(canonical(Label(items)) for items in product(*choices))
+    branching._drop_tables()
+    assert dict(branching._context(2).down(state)) == expected
 
 
 def _h_bijection_items():

@@ -120,6 +120,22 @@ def test_usage_errors_exit_2():
     assert code == 2
 
 
+def test_dims_n_max_below_m_exits_2():
+    err = io.StringIO()
+    with redirect_stderr(err):
+        code, out = run_cli(["dims", "--m", "3", "--n-max", "2", "--q", "2"])
+    assert (code, out) == (2, "")
+    assert json.loads(err.getvalue())["error"] == "bad_parameters"
+
+
+def test_weakstab_r_max_below_m_exits_2():
+    err = io.StringIO()
+    with redirect_stderr(err):
+        code, out = run_cli(["oracle", "weakstab", "--l", "1", "--m", "2", "--r-max", "0", "--q", "2"])
+    assert (code, out) == (2, "")
+    assert json.loads(err.getvalue())["error"] == "bad_parameters"
+
+
 def test_impossible_zigzag_endpoint_exits_2():
     # at q = 2 the only degree-1 cuspidal is iota
     err = io.StringIO()

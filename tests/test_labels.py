@@ -199,6 +199,13 @@ def test_canonical_entries_sort_degree_before_rows():
     )
 
 
+@given(label_items)
+def test_canonical_entries_ignore_anonymous_slots(items):
+    """Anonymous items that repeat a slot give the entries of distinct slots."""
+    one_slot = [(anon_key(k[1], 0) if k[0] == "anon" else k, rows) for k, rows in items]
+    assert canonical_entries(one_slot) == canonical_entries(items)
+
+
 def test_shape_forgetting_and_representative():
     lab = Label({IOTA: (2,), named_key(2, "a"): (1,), anon_key(2, 1): (1,)})
     shape = shape_of(lab)
