@@ -21,7 +21,8 @@ and a state's Label is built once, unchecked, when its entries are first
 interned in _states; Label's checks run only on what callers pass in.  States
 carry their pinned keys, so _states grows with the memos; at _TABLE_CAP states
 the contexts, _states and _down are dropped.  A walk with a target drops the
-states that cannot reach it before each step; the caller reads its weight.
+states that cannot reach it between the down-move and the up-move of each
+step; the caller reads its weight.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from __future__ import annotations
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
+from itertools import product, zip_longest
 
 from . import partitions as pt
 from .degrees import degree_poly, prime_power, vic_hom_count
@@ -160,17 +161,17 @@ class _Ctx:
 _new_context = lru_cache(maxsize=None)(_Ctx)  # (q, sorted pinned support) -> _Ctx
 
 
-def _rows_close(a, b, r):
+def _can_reach(state: Label, goal: dict, r: int) -> bool:
+    """Cheap necessary condition for reaching goal (key -> rows) with r up-moves and
+    r - 1 down-moves left: each move shifts a row by at most one, so the goal's row
+    minus the state's lies in 1 - r .. r on every row of every key (a key outside a
+    support is empty)."""
+    left = dict(goal)
     return all(
-        abs(pt.row(a, i) - pt.row(b, i)) <= r for i in range(max(len(a), len(b)))
-    )
-
-
-def _can_reach(state: Label, target: Label, r: int) -> bool:
-    """Cheap necessary condition for reaching target in r down/up pairs: a pair
-    moves each row of each key by at most one (a key outside a support is empty)."""
-    keys = set(state.support()) | set(target.support())
-    return all(_rows_close(state.get(k), target.get(k), r) for k in keys)
+        1 - r <= want - have <= r
+        for key, rows in state.entries
+        for want, have in zip_longest(left.pop(key, ()), rows, fillvalue=0)
+    ) and all(rows[0] <= r for rows in left.values())
 
 
 def _pin_anonymous(label: Label) -> Label:
@@ -190,12 +191,16 @@ def _pinned(*labels):
     return pinned, tuple({k for lab in pinned for k in lab.support() if k[0] == "named"})
 
 
-def _step(ctx, states, norm):
-    """Weights after one down/up pair that ends at the given norm."""
+def _step(ctx, states, norm, target=None, r=0):
+    """Weights after one down/up pair that ends at the given norm; with a target
+    (key -> rows), states that cannot reach it in r more up-moves are dropped
+    between the two moves."""
     after_down = defaultdict(int)
     for st, w in states.items():
         for succ, c in ctx.down(st):
             after_down[succ] += w * c
+    if target is not None:
+        after_down = {st: w for st, w in after_down.items() if _can_reach(st, target, r)}
     after_up = defaultdict(int)
     for st, w in after_down.items():
         for succ, c in ctx.up(st, norm):
@@ -208,11 +213,9 @@ def zigzag_distribution(start: Label, m: int, q: int, named_context=(), target=N
     ctx = _context(q, named_context)
     states = {canonical(start): 1}
     n0 = start.norm()
+    goal = None if target is None else dict(target.entries)
     for s in range(1, m + 1):
-        if target is not None:
-            r = m - s + 1
-            states = {st: w for st, w in states.items() if _can_reach(st, target, r)}
-        states = _step(ctx, states, n0 + s)
+        states = _step(ctx, states, n0 + s, goal, m - s + 1)
     if target is not None:
         return {target: states[target]} if target in states else {}
     return states

@@ -325,6 +325,8 @@ def weakstab_map_surjective(ell, m, r, q) -> bool:
 
 def conjugacy_class_count(n, q) -> int:
     """Number of conjugation orbits, by BFS over generator conjugations."""
+    if n < 1:
+        raise BadParameters("n must be >= 1")
     # |GL_n(q)| >= q**(n*(n-1)) >= 2**bits (q**i - 1 >= q**(i-1)); past 2**16 bits no
     # order prints in decimal, so refuse on the bound, not an n*n*log2(q)-bit product
     bits = n * (n - 1) * (q.bit_length() - 1)

@@ -246,18 +246,16 @@ def test_down_moves_are_one_table_for_every_context():
     assert branching._context(2, ()).down(s) is first
 
 
+def _partition_of_size(lo, hi):
+    return st.integers(lo, hi).flatmap(lambda n: st.sampled_from(pt.partitions_of(n)))
+
+
 small_states = st.builds(
     lambda iota, anon: canonical(
         Label([(IOTA, iota)] + [(anon_key(d, j), rows) for j, (d, rows) in enumerate(anon)])
     ),
-    st.integers(0, 5).flatmap(lambda n: st.sampled_from(pt.partitions_of(n))),
-    st.lists(
-        st.tuples(
-            st.integers(1, 3),
-            st.integers(1, 4).flatmap(lambda n: st.sampled_from(pt.partitions_of(n))),
-        ),
-        max_size=2,
-    ),
+    _partition_of_size(0, 5),
+    st.lists(st.tuples(st.integers(1, 3), _partition_of_size(1, 4)), max_size=2),
 ).filter(lambda s: s.norm() <= 7)
 
 
@@ -277,6 +275,37 @@ def test_down_move_matches_brute_force(state):
     expected = Counter(canonical(Label(items)) for items in product(*choices))
     branching._drop_tables()
     assert dict(branching._context(2).down(state)) == expected
+
+
+small_labels = st.builds(
+    lambda iota, named, anon: canonical(Label([(IOTA, iota), *named, *anon])),
+    _partition_of_size(0, 4),
+    st.lists(
+        st.tuples(st.sampled_from([named_key(1, "a"), named_key(2, "b")]), _partition_of_size(1, 3)),
+        max_size=2,
+        unique_by=lambda item: item[0],
+    ),
+    st.lists(st.tuples(st.just(anon_key(1, 0)), _partition_of_size(1, 3)), max_size=1),
+).filter(lambda s: s.norm() <= 7)
+
+
+@given(small_labels, small_labels, st.integers(1, 4))
+def test_reach_rule_after_the_down_move(state, target, r):
+    """With one up-move left the rule is arrow_up on every key; and a state with a
+    down-successor that passes it passes the rule for a whole down/up pair,
+    |row difference| <= r on every row of every key."""
+    goal = dict(target.entries)
+    keys = set(state.support()) | set(target.support())
+    if r == 1:
+        assert branching._can_reach(state, goal, 1) == all(
+            pt.arrow_up(state.get(k), target.get(k)) for k in keys
+        )
+    if any(branching._can_reach(succ, goal, r) for succ, _ in branching._context(2).down(state)):
+        assert all(
+            abs(pt.row(state.get(k), i) - pt.row(target.get(k), i)) <= r
+            for k in keys
+            for i in range(max(len(state.get(k)), len(target.get(k))))
+        )
 
 
 def _h_bijection_items():
@@ -419,12 +448,12 @@ def test_decompose_reads_the_trivial_constituent_without_stable_map(monkeypatch)
 def test_target_pruning_drops_no_path(monkeypatch):
     """count_zigzag equals the target's weight in the unpruned pinned walk on every
     pair of shape representatives with norms ell <= 2 and m <= 3, and it checks
-    reachability only while pairs are left."""
-    can_reach, pairs_left = branching._can_reach, []
+    reachability only while up-moves are left."""
+    can_reach, ups_left = branching._can_reach, []
 
-    def recorded(state, target, r):
-        pairs_left.append(r)
-        return can_reach(state, target, r)
+    def recorded(state, goal, r):
+        ups_left.append(r)
+        return can_reach(state, goal, r)
 
     monkeypatch.setattr(branching, "_can_reach", recorded)
     pairs, bad = 0, []
@@ -444,4 +473,4 @@ def test_target_pruning_drops_no_path(monkeypatch):
                         if pruned != walk.get(canonical(mu_p), 0):
                             bad.append((q, src, dst, pruned))
     assert (pairs, bad) == (878, [])
-    assert pairs_left and min(pairs_left) >= 1
+    assert ups_left and min(ups_left) >= 1

@@ -136,6 +136,17 @@ def test_weakstab_r_max_below_m_exits_2():
     assert json.loads(err.getvalue())["error"] == "bad_parameters"
 
 
+def test_classes_n_below_1_exits_2_naming_n():
+    for n in ("0", "-1"):
+        err = io.StringIO()
+        with redirect_stderr(err):
+            code, out = run_cli(["oracle", "classes", "--n", n, "--q", "2"])
+        assert (code, out) == (2, ""), n
+        payload = json.loads(err.getvalue())
+        assert payload["error"] == "bad_parameters", n
+        assert payload["reason"] == "n must be >= 1", n
+
+
 def test_impossible_zigzag_endpoint_exits_2():
     # at q = 2 the only degree-1 cuspidal is iota
     err = io.StringIO()

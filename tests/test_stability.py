@@ -104,24 +104,24 @@ def test_support_bounds_adversarial_entry():
 
 def margin_walk(m, q, tail, n):
     """Walk the DP states from trivial_label(n - m) towards pad(tail, n), as
-    count_zigzag does (pinned support, target pruning).
+    count_zigzag does (pinned support, target pruning after each down-move).
 
-    Returns (states visited, whether every one has an iota partition whose
-    first row is longer than its second): the margin that keeps tilde
-    well defined along the paths.
+    Returns (states read, whether every one has an iota partition whose first
+    row is longer than its second): the margin that keeps tilde well defined
+    along the paths.  The walk reads every down-successor (the reach rule
+    does), every up-successor it steps on, and at the end only the target.
     """
     nu = _pin_anonymous(trivial_label(n - m))
     target = canonical(_pin_anonymous(pad(label_of_shape(make_shape(tail, ())), n)))
     ctx = _context(q, tuple(k for k in target.support() if k[0] == "named"))
+    goal = dict(target.entries)
     states, visited, holds = {canonical(nu)}, 0, True
     for s in range(1, m + 1):
         after_down = {succ for st in states for succ, _ in ctx.down(st)}
-        states = {
-            succ
-            for st in after_down
-            for succ, _ in ctx.up(st, nu.norm() + s)
-            if _can_reach(succ, target, m - s)
-        }
+        kept = {st for st in after_down if _can_reach(st, goal, m - s + 1)}
+        states = {succ for st in kept for succ, _ in ctx.up(st, nu.norm() + s)}
+        if s == m:
+            states &= {target}
         for state in after_down | states:
             rows = state.get(IOTA) + (0, 0)
             visited += 1
