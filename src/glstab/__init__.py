@@ -2,7 +2,7 @@
 k[G_n/G_{n-m}] by zigzag-path counting, their multiplicity stability, and a
 brute-force oracle that cross-validates every number."""
 
-from .branching import Decomposition, count_zigzag, decompose_perm_module, restrict_step
+from .branching import Decomposition, count_zigzag, decompose_perm_module
 from .labels import Label, Shape, pad, stabilize, trivial_label
 from .stability import (
     empirical_stability_degree,
@@ -19,7 +19,6 @@ __all__ = [
     "stabilize",
     "trivial_label",
     "count_zigzag",
-    "restrict_step",
     "decompose_perm_module",
     "Decomposition",
     "stable_decomposition",

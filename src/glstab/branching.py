@@ -6,7 +6,12 @@ G_{n-m} up to the target label.  Counting is done by a forward dynamic
 program over canonical states: anonymous same-degree cuspidals are kept as
 an unordered multiset, and a transition that activates fresh anonymous
 cuspidals is weighted by the number of ways to draw distinct concrete
-cuspidals from the pool at field size q.
+cuspidals from the pool at field size q.  count_zigzag and
+decompose_perm_module are the two ways into the walk: a pinned count gives
+the anonymous keys of both ends named identities, and the walk's pinned
+support is the named keys of its start and target.  A restriction path
+mu ⊇ x ⊆ nu read backwards is a one-step path from nu to mu, so the
+multiplicity of nu in the restriction of mu is count_zigzag(nu, mu, 1, q).
 
 Both moves are flat: a down-move is one product over the entries' down_sets;
 an up-move folds the keys that may grow into (items, budget left) pairs, and
@@ -84,11 +89,6 @@ def _drop_tables():
     _down.clear()
 
 
-def _context(q, named_context=()):
-    """The shared _Ctx for (q, pinned support); a refused support raises, so it is not kept."""
-    return _new_context(q, tuple(sorted(named_context)))
-
-
 def _keep(memo, key, out):
     """Memoise out (entries -> weight) as (state, weight) pairs over interned states."""
     pairs = []
@@ -104,7 +104,8 @@ def _keep(memo, key, out):
 
 
 class _Ctx:
-    """Transitions for one (q, pinned support), got from _context; it memoises up-moves."""
+    """Transitions for one (q, sorted pinned support), got from _new_context; it memoises
+    up-moves.  A refused support raises, so the cache does not keep it."""
 
     def __init__(self, q, named_context):
         self.q = q
@@ -185,12 +186,6 @@ def _pin_anonymous(label: Label) -> Label:
     return Label(items)
 
 
-def _pinned(*labels):
-    """The labels with anonymous keys pinned, and their named support (the _Ctx key)."""
-    pinned = [_pin_anonymous(lab) for lab in labels]
-    return pinned, tuple({k for lab in pinned for k in lab.support() if k[0] == "named"})
-
-
 def _step(ctx, states, norm, target=None, r=0):
     """Weights after one down/up pair that ends at the given norm; with a target
     (key -> rows), states that cannot reach it in r more up-moves are dropped
@@ -208,9 +203,13 @@ def _step(ctx, states, norm, target=None, r=0):
     return dict(after_up)
 
 
-def zigzag_distribution(start: Label, m: int, q: int, named_context=(), target=None):
-    """Path-count weights over canonical states after m down/up pairs."""
-    ctx = _context(q, named_context)
+def zigzag_distribution(start: Label, m: int, q: int, target=None):
+    """Path-count weights over canonical states after m down/up pairs.
+
+    The named keys of start and target are the pinned support: the walk keeps
+    their cuspidals apart from the fresh ones it draws."""
+    ends = (start,) if target is None else (start, target)
+    ctx = _new_context(q, tuple(sorted({k for e in ends for k in e.support() if k[0] == "named"})))
     states = {canonical(start): 1}
     n0 = start.norm()
     goal = None if target is None else dict(target.entries)
@@ -234,10 +233,8 @@ def count_zigzag(nu: Label, mu: Label, m: int, q: int) -> int:
         raise BadParameters(
             f"norm difference {mu.norm() - nu.norm()} != step count {m}"
         )
-    (nu_p, mu_p), context = _pinned(nu, mu)
-    target = canonical(mu_p)
-    dist = zigzag_distribution(nu_p, m, q, context, target=target)
-    return dist.get(target, 0)
+    target = canonical(_pin_anonymous(mu))
+    return zigzag_distribution(_pin_anonymous(nu), m, q, target).get(target, 0)
 
 
 @dataclass(frozen=True)
@@ -323,37 +320,3 @@ def decompose_perm_module(n: int, m: int, q: int) -> Decomposition:
     if dec.dimension() != vic_hom_count(m, n, q):
         raise InvariantViolated(f"dimension identity fails for ({n},{m},{q})")
     return dec
-
-
-@dataclass(frozen=True)
-class RestrictEntry:
-    label: Label  # canonical class representative at norm ||mu|| - 1
-    multiplicity: int  # of one concrete member, in the restriction
-    class_count: int  # concrete members of the class, given mu's support
-
-
-def restrict_step(mu: Label, q: int) -> list:
-    """One-step restriction multiplicities, grouped into classes.
-
-    Classes are taken relative to the support of mu: cuspidals appearing in
-    mu stay pinned, anonymous entries in the result range over the unused
-    part of the pool (a fresh column is legal because the intermediate label
-    must vanish there).
-    """
-    prime_power(q)
-    if mu.norm() < 1:
-        raise BadParameters("norm of mu must be >= 1")
-    (mu_p,), context = _pinned(mu)
-    mu_p = canonical(mu_p)
-    ctx = _context(q, context)
-    weights = _step(ctx, {mu_p: 1}, mu_p.norm() - 1)
-    out = []
-    for nu_state, w in sorted(weights.items(), key=lambda kv: kv[0].entries):
-        anon = [(key_degree(k), r) for k, r in nu_state.entries if k[0] == "anon"]
-        cnt = draws(anon, q, ctx.named_by_degree)
-        if cnt <= 0 or w % cnt:
-            raise InvariantViolated(
-                f"restriction weight {w} of {nu_state} is not a multiple of class count {cnt}"
-            )
-        out.append(RestrictEntry(label=nu_state, multiplicity=w // cnt, class_count=cnt))
-    return out

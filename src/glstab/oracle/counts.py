@@ -26,7 +26,7 @@ from ..errors import BadParameters, GuardExceeded, InvariantViolated
 from . import matrices as mx
 from .fields import field
 from .orbits import orbit_count, orbit_partition
-from .vic import space_size
+from .vic import VIC_SPACE_GUARD, space_size
 
 GROUP_SCAN_GUARD = 2**24
 CLASS_GUARD = 2**21
@@ -148,6 +148,9 @@ def _space(m, n, q):
     and each c_i in C.  Each coset a + C is built once per C.
     """
     space_size(m, n, q)  # refuses a space past the guard
+    # the complement's span and each generator's table have q**n entries, even at m = 0
+    if n * (q.bit_length() - 1) > VIC_SPACE_GUARD.bit_length() - 1 or q**n > VIC_SPACE_GUARD:
+        raise GuardExceeded("vector space exceeds guard", n=n, q=q)
     F = field(q)
     S = (q**n - 1).bit_length()
     size = q**m  # E, in local coordinates: the packed vectors of F_q^m

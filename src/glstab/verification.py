@@ -9,7 +9,7 @@ to hide a failure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .branching import count_zigzag, decompose_perm_module
 from .concrete import count_zigzag_concrete
@@ -47,12 +47,7 @@ class CheckResult:
     detail: str
 
     def to_json(self) -> dict:
-        return {
-            "criterion": self.criterion,
-            "name": self.name,
-            "status": self.status,
-            "detail": self.detail,
-        }
+        return asdict(self)
 
 
 def _result(criterion, name, ok, detail=""):
@@ -284,22 +279,20 @@ def check_weak_stability(quick=False):
 
 
 SUITES = {
-    "census": [check_census],
-    "degrees": [check_degree_census],
-    "regular": [check_regular_representation],
-    "cross": [check_cross_validation],
-    "dimension": [check_dimension_identity],
-    "stability": [check_stability],
-    "support": [check_support_bounds],
-    "concrete": [check_dp_vs_concrete],
-    "free-module": [check_free_module_polynomial],
-    "weakstab": [check_weak_stability],
+    "census": check_census,
+    "degrees": check_degree_census,
+    "regular": check_regular_representation,
+    "cross": check_cross_validation,
+    "dimension": check_dimension_identity,
+    "stability": check_stability,
+    "support": check_support_bounds,
+    "concrete": check_dp_vs_concrete,
+    "free-module": check_free_module_polynomial,
+    "weakstab": check_weak_stability,
 }
-
-ALL_CHECKS = [fn for fns in SUITES.values() for fn in fns]
 
 
 def run_suite(suite=None, quick=False):
     """Run the requested checks; returns the flat list of CheckResults."""
-    checks = SUITES[suite] if suite else ALL_CHECKS
+    checks = [SUITES[suite]] if suite else SUITES.values()
     return [r for fn in checks for r in fn(quick=quick)]

@@ -1,4 +1,4 @@
-"""Zigzag path counting, one-step restriction, and full decompositions."""
+"""Zigzag path counting, restriction multiplicities read from it, and full decompositions."""
 
 import gc
 import os
@@ -16,12 +16,7 @@ from hypothesis import strategies as st
 import glstab
 import glstab.branching as branching
 from glstab import partitions as pt
-from glstab.branching import (
-    count_zigzag,
-    decompose_perm_module,
-    restrict_step,
-    zigzag_distribution,
-)
+from glstab.branching import count_zigzag, decompose_perm_module, zigzag_distribution
 from glstab.degrees import gl_order
 from glstab.errors import BadParameters
 from glstab.labels import (
@@ -29,7 +24,9 @@ from glstab.labels import (
     Label,
     anon_key,
     canonical,
+    draws,
     enumerate_shapes,
+    key_degree,
     label_of_shape,
     make_shape,
     named_key,
@@ -77,18 +74,64 @@ def test_zigzag_anonymous_target_counts_one_class_member():
     assert count_zigzag(trivial_label(2), mu, 1, 3) == 1
 
 
-def test_restrict_step_trivial():
-    entries = restrict_step(trivial_label(3), 2)
-    assert len(entries) == 1
-    assert entries[0].label == trivial_label(2)
-    assert entries[0].multiplicity == 1
+def _one_below(shape, mu):
+    """The labels of the shape, one per class of concrete labels relative to mu: each
+    anonymous part takes one of mu's anonymous keys of its degree (the same cuspidal)
+    or the next slot past them (a fresh cuspidal); mu's slots count from 0."""
+    mine = [k for k in mu.support() if k[0] == "anon"]
+    out = set()
+    options = [[k for k in mine if key_degree(k) == d] + [None] for d, _ in shape.parts]
+    for keys in product(*options):
+        taken = [k for k in keys if k]
+        if len(set(taken)) < len(taken):
+            continue
+        slots, items = Counter(key_degree(k) for k in mine), [(IOTA, shape.iota)]
+        for key, (d, rows) in zip(keys, shape.parts):
+            if key is None:
+                key, slots[d] = anon_key(d, slots[d]), slots[d] + 1
+            items.append((key, rows))
+        out.add(Label(items))
+    return out
 
 
-def test_restrict_step_column():
+def _restriction(mu, q):
+    """{nu: (multiplicity, class count)} for the classes of concrete labels one below
+    mu that occur in its restriction.  The multiplicity of one member is the one-step
+    count from nu to mu (a restriction path mu ⊇ x ⊆ nu read backwards); the class
+    count draws nu's fresh cuspidals with mu's taken."""
+    count_zigzag(mu, mu, 0, q)  # refuses a mu whose cuspidals q does not have
+    used = Counter(key_degree(k) for k in mu.support() if k != IOTA)
+    out = {}
+    for shape in enumerate_shapes(mu.norm() - 1):
+        for nu in _one_below(shape, mu):
+            fresh = [(key_degree(k), r) for k, r in nu.entries if k != IOTA and not mu.get(k)]
+            cnt = draws(fresh, q, used)
+            mult = cnt and count_zigzag(nu, mu, 1, q)
+            if mult:
+                out[nu] = (mult, cnt)
+    return out
+
+
+def test_walk_pins_the_named_keys_of_both_ends():
+    """The walk's pinned support is the named keys of start and target: a named
+    key only the target carries is one pinned cuspidal, and a target whose named
+    keys q does not have is refused."""
+    target = canonical(Label({IOTA: (1,), named_key(2, "a"): (1,)}))
+    assert zigzag_distribution(trivial_label(2), 1, 2, target) == {target: 1}
+    # q = 3 has one degree-1 cuspidal besides iota
+    two = canonical(Label({named_key(1, "b"): (1,), named_key(1, "c"): (1,)}))
+    with pytest.raises(BadParameters):
+        zigzag_distribution(trivial_label(1), 1, 3, two)
+
+
+def test_restriction_of_the_trivial_label():
+    assert _restriction(trivial_label(3), 2) == {trivial_label(2): (1, 1)}
+
+
+def test_restriction_of_the_column():
     # restriction of the size-2 column: the size-1 column appears once,
     # and each of the other degree-1 characters appears via a fresh column
-    entries = restrict_step(Label({IOTA: (1, 1)}), 3)
-    by_label = {e.label: (e.multiplicity, e.class_count) for e in entries}
+    by_label = _restriction(Label({IOTA: (1, 1)}), 3)
     assert by_label[Label({IOTA: (1,)})] == (2, 1)
     assert by_label[Label({anon_key(1, 0): (1,)})] == (1, 1)
     # the restriction of the q-dimensional Steinberg module to G_1
@@ -104,12 +147,8 @@ def test_restriction_sums_to_dimension_ratio():
             mu = label_of_shape(mu_shape)
             n = mu.norm()
             total = 0
-            for e in restrict_step(mu, q):
-                total += (
-                    e.multiplicity
-                    * e.class_count
-                    * degree_poly(shape_of(e.label)).evaluate(q)
-                )
+            for nu, (mult, cnt) in _restriction(mu, q).items():
+                total += mult * cnt * degree_poly(shape_of(nu)).evaluate(q)
             assert total == degree_poly(mu_shape).evaluate(q)
 
 
@@ -152,15 +191,15 @@ def test_labels_beyond_the_cuspidal_pool_are_rejected():
     with pytest.raises(BadParameters):
         count_zigzag(trivial_label(0), one, 1, 2)
     with pytest.raises(BadParameters):
-        restrict_step(one, 2)
+        _restriction(one, 2)
     two = Label({anon_key(2, 0): (1,), anon_key(2, 1): (1,)})
     with pytest.raises(BadParameters):
         count_zigzag(trivial_label(0), two, 4, 2)
     with pytest.raises(BadParameters):
-        restrict_step(two, 2)
-    # the same labels exist at q = 3 (two degree-1 non-iota, three degree-2)
+        _restriction(two, 2)
+    # the same labels exist at q = 3 (one degree-1 cuspidal besides iota, three of degree 2)
     assert count_zigzag(one, Label({anon_key(1, 0): (2,)}), 1, 3) == 1
-    assert restrict_step(two, 3)
+    assert _restriction(two, 3)
 
 
 def test_decomposition_invariants_survive_optimize_flag():
@@ -210,10 +249,8 @@ def test_zigzag_recursion_consistency():
             mu = pad(label_of_shape(e.shape), n)
             direct = count_zigzag(nu, mu, m, q)
             via_step = sum(
-                step.multiplicity
-                * step.class_count
-                * count_zigzag(nu, step.label, m - 1, q)
-                for step in restrict_step(mu, q)
+                mult * cnt * count_zigzag(nu, below, m - 1, q)
+                for below, (mult, cnt) in _restriction(mu, q).items()
             )
             assert direct == via_step
 
@@ -233,7 +270,7 @@ def test_refused_support_is_refused_every_time():
         with pytest.raises(BadParameters):
             count_zigzag(nu, mu, 1, 2)
         with pytest.raises(BadParameters):
-            restrict_step(mu, 2)
+            _restriction(mu, 2)
     assert branching._new_context.cache_info().currsize == before
 
 
@@ -241,9 +278,9 @@ def test_down_moves_are_one_table_for_every_context():
     """A down-move reads neither q nor the pinned support, so every context
     answers a state from the one down table."""
     s = canonical(Label({IOTA: (2, 1), anon_key(2, 0): (1,)}))
-    first = branching._context(3, ()).down(s)
-    assert branching._context(3, (named_key(1, "pin0"),)).down(s) is first
-    assert branching._context(2, ()).down(s) is first
+    first = branching._new_context(3, ()).down(s)
+    assert branching._new_context(3, (named_key(1, "pin0"),)).down(s) is first
+    assert branching._new_context(2, ()).down(s) is first
 
 
 def _partition_of_size(lo, hi):
@@ -274,7 +311,7 @@ def test_down_move_matches_brute_force(state):
     ]
     expected = Counter(canonical(Label(items)) for items in product(*choices))
     branching._drop_tables()
-    assert dict(branching._context(2).down(state)) == expected
+    assert dict(branching._new_context(2, ()).down(state)) == expected
 
 
 small_labels = st.builds(
@@ -300,7 +337,8 @@ def test_reach_rule_after_the_down_move(state, target, r):
         assert branching._can_reach(state, goal, 1) == all(
             pt.arrow_up(state.get(k), target.get(k)) for k in keys
         )
-    if any(branching._can_reach(succ, goal, r) for succ, _ in branching._context(2).down(state)):
+    down = branching._new_context(2, ()).down(state)
+    if any(branching._can_reach(succ, goal, r) for succ, _ in down):
         assert all(
             abs(pt.row(state.get(k), i) - pt.row(target.get(k), i)) <= r
             for k in keys
@@ -337,7 +375,8 @@ def test_shared_tables_are_history_independent():
     mixed = {}
     for i, item in enumerate(reversed(items)):
         _m, q, ell, shape = item
-        restrict_step(pad(label_of_shape(shape), ell), q)
+        # a one-step restriction count in the context of the shape's pinned support
+        count_zigzag(pad(label_of_shape(shape), ell), pad(label_of_shape(shape), ell + 1), 1, q)
         decompose_perm_module(3 + i % 4, 2, 2 + i % 2)
         mixed[item] = _count(item)
     assert mixed == cold
@@ -364,9 +403,14 @@ def test_shared_tables_stay_within_their_cap(monkeypatch):
     assert len(drops) >= 3
 
 
-def _walk_states(start, m, q, context=()):
+def _pinned_context(q, *ends):
+    """The shared _Ctx of a walk between the ends: their named keys, sorted."""
+    named = {k for end in ends for k in end.support() if k[0] == "named"}
+    return branching._new_context(q, tuple(sorted(named)))
+
+
+def _walk_states(ctx, start, m):
     """Every state that _Ctx.down/up return on the unpruned walk of m steps."""
-    ctx = branching._context(q, context)
     states, seen = {canonical(start)}, set()
     for s in range(1, m + 1):
         after_down = {succ for st in states for succ, _ in ctx.down(st)}
@@ -381,13 +425,11 @@ def test_trusted_states_are_valid_canonical_and_interned():
     for m, q in [(2, 2), (3, 2), (2, 3), (2, 4)]:
         branching._drop_tables()
         n = 3 * m
-        walks = [_walk_states(trivial_label(n - m), m, q)]
+        walks = [_walk_states(_pinned_context(q), trivial_label(n - m), m)]
         for e in decompose_perm_module(n, m, q).entries:
             if e.shape.parts:
-                (nu, _mu), context = branching._pinned(
-                    trivial_label(n - m), pad(label_of_shape(e.shape), n)
-                )
-                walks.append(_walk_states(nu, m, q, context))
+                mu = branching._pin_anonymous(pad(label_of_shape(e.shape), n))
+                walks.append(_walk_states(_pinned_context(q, mu), trivial_label(n - m), m))
         for states in walks:
             assert states
             for state in states:
@@ -467,8 +509,10 @@ def test_target_pruning_drops_no_path(monkeypatch):
                             pruned = count_zigzag(nu, mu, m, q)
                         except BadParameters:
                             continue  # more cuspidals than q has
-                        (nu_p, mu_p), context = branching._pinned(nu, mu)
-                        walk = zigzag_distribution(nu_p, m, q, context)
+                        nu_p, mu_p = branching._pin_anonymous(nu), branching._pin_anonymous(mu)
+                        ctx, walk = _pinned_context(q, nu_p, mu_p), {canonical(nu_p): 1}
+                        for s in range(1, m + 1):
+                            walk = branching._step(ctx, walk, ell + s)
                         pairs += 1
                         if pruned != walk.get(canonical(mu_p), 0):
                             bad.append((q, src, dst, pruned))

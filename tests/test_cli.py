@@ -300,6 +300,25 @@ def test_space_guard_refuses_before_multiplying_the_count():
         assert err["limits"] == {"m": 3000, "n": 3000, "q": 2, "count": ">= 2**8997000"}
 
 
+def test_m0_oracle_work_is_bounded():
+    """At m = 0 the space has one point at every n, but the oracle's complement span
+    and generator tables have q**n entries: past the guard, decompose skips its
+    oracle check and the oracle exits 2, at once even for a huge n."""
+    code, out = run_cli(["decompose", "--m", "0", "--n", "40", "--q", "2"])
+    assert code == 0
+    assert out.endswith("checks: dimension ok, oracle sum-of-squares SKIPPED\n")
+    cases = [
+        (["double-cosets", "--n", "100", "--m", "0", "--q", "2"], {"n": 100, "q": 2}),
+        (["double-cosets", "--n", "10000000", "--m", "0", "--q", "3"], {"n": 10000000, "q": 3}),
+        (["weakstab", "--l", "0", "--m", "0", "--r-max", "20000", "--q", "2"], {"n": 20000, "q": 2}),
+    ]
+    for argv, limits in cases:
+        err = io.StringIO()
+        with redirect_stderr(err):
+            assert run_cli(["oracle", *argv]) == (2, ""), argv
+        assert json.loads(err.getvalue())["limits"] == limits
+
+
 def test_guard_violation_exits_2_with_reason():
     code, _ = run_cli(["oracle", "vic-count", "--m", "2", "--n", "7", "--q", "2"])
     assert code == 2

@@ -6,7 +6,7 @@ from glstab.branching import (
     Decomposition,
     DecompositionEntry,
     _can_reach,
-    _context,
+    _new_context,
     _pin_anonymous,
     decompose_perm_module,
 )
@@ -113,7 +113,7 @@ def margin_walk(m, q, tail, n):
     """
     nu = _pin_anonymous(trivial_label(n - m))
     target = canonical(_pin_anonymous(pad(label_of_shape(make_shape(tail, ())), n)))
-    ctx = _context(q, tuple(k for k in target.support() if k[0] == "named"))
+    ctx = _new_context(q, tuple(sorted(k for k in target.support() if k[0] == "named")))
     goal = dict(target.entries)
     states, visited, holds = {canonical(nu)}, 0, True
     for s in range(1, m + 1):
