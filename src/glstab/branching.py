@@ -18,16 +18,17 @@ an up-move folds the keys that may grow into (items, budget left) pairs, and
 each takes fresh anonymous columns from one cache keyed by (q, cuspidals used
 per degree, budget).  _step is one down/up pair.
 
-Transition tables are shared across calls, as (state, weight) pairs keyed by
-what a result depends on: one context per (q, sorted pinned support) memoises
-up-moves, and _down holds each state's down-moves, which read neither.  The
-leaves of a transition build canonical entries tuples from valid partitions,
-and a state's Label is built once, unchecked, when its entries are first
-interned in _states; Label's checks run only on what callers pass in.  States
-carry their pinned keys, so _states grows with the memos; at _TABLE_CAP states
-the contexts, _states and _down are dropped.  A walk with a target drops the
-states that cannot reach it between the down-move and the up-move of each
-step; the caller reads its weight.
+A walk never meets a state twice (the norm grows by one per step), so tables
+are kept only where walks repeat.  A walk with a target is a pinned count,
+which sweeps repeat by the hundred: its context, one per (q, sorted pinned
+support) from _new_context, memoises up-moves as (state, weight) pairs, the
+one _down table holds each state's down-moves, which read neither, and _states
+interns each state once.  A walk without a target builds its own context: it
+interns its states for itself and memoises nothing, so all it holds goes when
+the walk returns.  A state's Label is built once, unchecked, from the valid
+partitions at a transition's leaves; Label's checks run only on what callers
+pass in.  A walk with a target drops the states that cannot reach it between
+the down-move and the up-move of each step; the caller reads its weight.
 """
 
 from __future__ import annotations
@@ -75,39 +76,17 @@ def _fresh_columns(q, used, budget):
     )
 
 
-# Interned states at which every shared table is dropped: a memory bound,
-# not a setting.  decompose_perm_module(3m, m, 2) interns 9,829 / 25,075 /
-# 61,264 distinct states at m = 7 / 8 / 9, so m >= 8 drops the tables mid-call.
-_TABLE_CAP = 20_000
-_states = {}  # canonical entries -> the one Label object the memos hold for them
-_down = {}  # state -> its down-moves, for every context
-
-
-def _drop_tables():
-    _new_context.cache_clear()
-    _states.clear()
-    _down.clear()
-
-
-def _keep(memo, key, out):
-    """Memoise out (entries -> weight) as (state, weight) pairs over interned states."""
-    pairs = []
-    for entries, w in out.items():
-        state = _states.get(entries)
-        if state is None:
-            if len(_states) >= _TABLE_CAP:
-                _drop_tables()
-            state = _states[entries] = trusted_label(entries)
-        pairs.append((state, w))
-    memo[key] = pairs = tuple(pairs)
-    return pairs
+_states = {}  # canonical entries -> the one Label object the shared memos hold for them
+_down = {}  # state -> its down-moves, for every shared context
 
 
 class _Ctx:
-    """Transitions for one (q, sorted pinned support), got from _new_context; it memoises
-    up-moves.  A refused support raises, so the cache does not keep it."""
+    """Transitions for one (q, sorted pinned support) over its tables (interned states,
+    down memo, up memo): _new_context passes the shared ones; a context built directly
+    interns its states for its own walk and memoises nothing.  A refused support
+    raises, so the cache does not keep it."""
 
-    def __init__(self, q, named_context):
+    def __init__(self, q, named_context, tables=None):
         self.q = q
         self.named_context = named_context
         self.named_by_degree = Counter(key_degree(k) for k in self.named_context)
@@ -116,17 +95,30 @@ class _Ctx:
                 raise BadParameters(
                     f"labels need {used} distinct degree-{d} cuspidals; q={q} has {pool_size(d, q)}"
                 )
-        self._up_memo = {}
+        self._states, self._down, self._up_memo = tables or ({}, None, None)
+
+    def _keep(self, memo, key, out):
+        """out (entries -> weight) as (state, weight) pairs over interned states; memo[key]
+        keeps them if there is a memo."""
+        pairs = []
+        for entries, w in out.items():
+            state = self._states.get(entries)
+            if state is None:
+                state = self._states[entries] = trusted_label(entries)
+            pairs.append((state, w))
+        pairs = tuple(pairs)
+        if memo is not None:
+            memo[key] = pairs
+        return pairs
 
     def down(self, state: Label):
         """Canonical successors of one remove-at-most-one-box-per-row step."""
-        hit = _down.get(state)
-        if hit is not None:
+        if self._down is not None and (hit := self._down.get(state)) is not None:
             return hit
         out = defaultdict(int)
         for choice in product(*(pt.down_set(rows) for _, rows in state.entries)):
             out[canonical_entries([(k, r) for (k, _), r in zip(state.entries, choice) if r])] += 1
-        return _keep(_down, state, out)
+        return self._keep(self._down, state, out)
 
     def up(self, state: Label, target_norm: int):
         """Canonical successors of one add-at-most-one-box-per-row step.
@@ -136,8 +128,7 @@ class _Ctx:
         pinned and active keys leave of the pool.
         """
         memo_key = (state, target_norm)
-        hit = self._up_memo.get(memo_key)
-        if hit is not None:
+        if self._up_memo is not None and (hit := self._up_memo.get(memo_key)) is not None:
             return hit
         active = [k for k, _ in state.entries if k[0] == "anon"]
         used = tuple(sorted((self.named_by_degree + Counter(map(key_degree, active))).items()))
@@ -156,10 +147,11 @@ class _Ctx:
         for items, left in partial:
             for columns, w in _fresh_columns(self.q, used, left):
                 out[canonical_entries(items + columns)] += w
-        return _keep(self._up_memo, memo_key, out)
+        return self._keep(self._up_memo, memo_key, out)
 
 
-_new_context = lru_cache(maxsize=None)(_Ctx)  # (q, sorted pinned support) -> _Ctx
+# (q, sorted pinned support) -> the one shared, memoising _Ctx
+_new_context = lru_cache(maxsize=None)(lambda q, support: _Ctx(q, support, (_states, _down, {})))
 
 
 def _can_reach(state: Label, goal: dict, r: int) -> bool:
@@ -209,7 +201,8 @@ def zigzag_distribution(start: Label, m: int, q: int, target=None):
     The named keys of start and target are the pinned support: the walk keeps
     their cuspidals apart from the fresh ones it draws."""
     ends = (start,) if target is None else (start, target)
-    ctx = _new_context(q, tuple(sorted({k for e in ends for k in e.support() if k[0] == "named"})))
+    support = tuple(sorted({k for e in ends for k in e.support() if k[0] == "named"}))
+    ctx = _Ctx(q, support) if target is None else _new_context(q, support)
     states = {canonical(start): 1}
     n0 = start.norm()
     goal = None if target is None else dict(target.entries)

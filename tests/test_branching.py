@@ -10,7 +10,7 @@ from itertools import product
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 import glstab
@@ -31,9 +31,17 @@ from glstab.labels import (
     make_shape,
     named_key,
     pad,
+    pool_size,
     shape_of,
     trivial_label,
 )
+
+
+def _clear_tables():
+    """Empty the shared tables of pinned walks: contexts, interned states, down-moves."""
+    branching._new_context.cache_clear()
+    branching._states.clear()
+    branching._down.clear()
 
 
 def test_zigzag_zero_steps():
@@ -227,7 +235,7 @@ def test_dp_walks_leave_no_reference_cycles():
     """_Ctx.down and up are flat loops that build no self-referencing closure,
     so what a decomposition leaves behind goes by reference counting, not at a
     later cyclic GC."""
-    branching._drop_tables()
+    _clear_tables()
     gc.collect()
     gc.disable()
     try:
@@ -310,7 +318,7 @@ def test_down_move_matches_brute_force(state):
         for key, rows in state.entries
     ]
     expected = Counter(canonical(Label(items)) for items in product(*choices))
-    branching._drop_tables()
+    _clear_tables()
     assert dict(branching._new_context(2, ()).down(state)) == expected
 
 
@@ -366,7 +374,7 @@ def test_shared_tables_are_history_independent():
     items = _h_bijection_items()
     cold = {}
     for item in items:
-        branching._drop_tables()
+        _clear_tables()
         cold[item] = _count(item)
     for seed in (1, 2):
         order = list(items)
@@ -382,25 +390,59 @@ def test_shared_tables_are_history_independent():
     assert mixed == cold
 
 
-def test_shared_tables_stay_within_their_cap(monkeypatch):
-    """Dropping the tables mid-sweep changes no count, and the cap holds."""
-    items = _h_bijection_items()
-    branching._drop_tables()
-    uncapped = {item: _count(item) for item in items}
-    drops = []
-    drop = branching._drop_tables
+def test_walk_without_target_keeps_no_shared_tables():
+    """A decomposition's walk repeats nowhere, so it keeps no shared table; a
+    pinned count, which sweeps repeat, still fills them."""
+    _clear_tables()
+    before = branching._new_context.cache_info().currsize
+    decompose_perm_module(12, 4, 2)
+    decompose_perm_module(9, 3, 3)
+    assert not branching._states and not branching._down
+    assert branching._new_context.cache_info().currsize == before
+    mu = Label({IOTA: (9, 1), anon_key(2, 0): (1,)})
+    assert count_zigzag(trivial_label(8), mu, 4, 2) > 0
+    assert branching._states and branching._down
+    assert branching._new_context.cache_info().currsize == before + 1
 
-    def counted_drop():
-        drops.append(True)
-        drop()
 
-    monkeypatch.setattr(branching, "_drop_tables", counted_drop)
-    monkeypatch.setattr(branching, "_TABLE_CAP", 40)
-    drop()
-    for item in items:
-        assert _count(item) == uncapped[item]
-        assert len(branching._states) <= 40
-    assert len(drops) >= 3
+small_supported_states = st.builds(
+    lambda iota, named, anon: canonical(
+        Label([(IOTA, iota), *named, *((anon_key(d, j), rows) for j, (d, rows) in enumerate(anon))])
+    ),
+    _partition_of_size(0, 4),
+    st.lists(
+        st.tuples(st.sampled_from([named_key(1, "a"), named_key(2, "b")]), _partition_of_size(1, 3)),
+        max_size=1,
+    ),
+    st.lists(st.tuples(st.integers(1, 2), _partition_of_size(1, 3)), max_size=2),
+).filter(lambda s: s.norm() <= 7)
+
+
+@given(small_supported_states, st.sampled_from([2, 3, 4]))
+def test_direct_context_agrees_with_the_shared_one(state, q):
+    """A context built directly gives the shared context's moves, writes no shared
+    table, and interns its states: equal entries from two moves are one object."""
+    per_degree = Counter(key_degree(k) for k in state.support() if k != IOTA)
+    assume(all(used <= pool_size(d, q) for d, used in per_degree.items()))
+    support = tuple(k for k in state.support() if k[0] == "named")
+    norms = range(state.norm(), state.norm() + 3)
+    _clear_tables()
+    direct = branching._Ctx(q, support)
+    moves = [direct.down(state)] + [direct.up(state, norm) for norm in norms]
+    moves += [direct.up(succ, state.norm()) for succ, _ in moves[0]]
+    assert not branching._states and not branching._down
+    interned = {}
+    for pairs in moves:
+        for succ, _ in pairs:
+            assert interned.setdefault(succ.entries, succ) is succ
+    shared = branching._new_context(q, support)
+
+    def as_counter(pairs):
+        return Counter({succ.entries: w for succ, w in pairs})
+
+    assert as_counter(moves[0]) == as_counter(shared.down(state))
+    for norm, pairs in zip(norms, moves[1:]):
+        assert as_counter(pairs) == as_counter(shared.up(state, norm))
 
 
 def _pinned_context(q, *ends):
@@ -423,7 +465,7 @@ def test_trusted_states_are_valid_canonical_and_interned():
     """States built without Label's checks pass them, are canonical, and are
     the one interned object for their entries; unpinned and pinned."""
     for m, q in [(2, 2), (3, 2), (2, 3), (2, 4)]:
-        branching._drop_tables()
+        _clear_tables()
         n = 3 * m
         walks = [_walk_states(_pinned_context(q), trivial_label(n - m), m)]
         for e in decompose_perm_module(n, m, q).entries:
@@ -447,7 +489,7 @@ def test_dp_validates_a_bounded_number_of_labels(monkeypatch):
         built.append(True)
         init(self, *args, **kwargs)
 
-    branching._drop_tables()
+    _clear_tables()
     monkeypatch.setattr(Label, "__init__", counted_init)
     entries = sum(len(decompose_perm_module(*args).entries) for args in [(12, 4, 2), (9, 3, 3)])
     assert len(built) <= 3 * entries
@@ -466,7 +508,7 @@ def test_decompose_validates_labels_independent_of_entry_count(monkeypatch):
     monkeypatch.setattr(Label, "__init__", counted_init)
     seen = []
     for args in [(9, 3, 2), (12, 4, 2)]:
-        branching._drop_tables()
+        _clear_tables()
         built.clear()
         seen.append((len(decompose_perm_module(*args).entries), len(built)))
     (small_entries, small), (large_entries, large) = seen
