@@ -19,16 +19,17 @@ each takes fresh anonymous columns from one cache keyed by (q, cuspidals used
 per degree, budget).  _step is one down/up pair.
 
 A walk never meets a state twice (the norm grows by one per step), so tables
-are kept only where walks repeat.  A walk with a target is a pinned count,
+outlive a walk only where they pay.  A walk with a target is a pinned count,
 which sweeps repeat by the hundred: its context, one per (q, sorted pinned
 support) from _new_context, memoises up-moves as (state, weight) pairs, the
 one _down table holds each state's down-moves, which read neither, and _states
 interns each state once.  A walk without a target builds its own context: it
 interns its states for itself and memoises nothing, so all it holds goes when
-the walk returns.  A state's Label is built once, unchecked, from the valid
-partitions at a transition's leaves; Label's checks run only on what callers
-pass in.  A walk with a target drops the states that cannot reach it between
-the down-move and the up-move of each step; the caller reads its weight.
+the walk returns.  Walk n + 1 of a stability sweep takes walk n's moves a step
+later, but a memo across the sweep saved no time: the GC's scans of it cost what
+it saved.  A state's Label is built once, unchecked, from the valid partitions
+at a transition's leaves; Label's checks run only on what callers pass in.  A
+pinned walk prunes, after each down-move, the states that cannot reach its target.
 """
 
 from __future__ import annotations

@@ -235,7 +235,6 @@ def test_dp_walks_leave_no_reference_cycles():
     """_Ctx.down and up are flat loops that build no self-referencing closure,
     so what a decomposition leaves behind goes by reference counting, not at a
     later cyclic GC."""
-    _clear_tables()
     gc.collect()
     gc.disable()
     try:
@@ -391,8 +390,8 @@ def test_shared_tables_are_history_independent():
 
 
 def test_walk_without_target_keeps_no_shared_tables():
-    """A decomposition's walk repeats nowhere, so it keeps no shared table; a
-    pinned count, which sweeps repeat, still fills them."""
+    """A decomposition memoises nothing, so it keeps no shared table; a pinned
+    count, which sweeps repeat, still fills them."""
     _clear_tables()
     before = branching._new_context.cache_info().currsize
     decompose_perm_module(12, 4, 2)
@@ -489,7 +488,6 @@ def test_dp_validates_a_bounded_number_of_labels(monkeypatch):
         built.append(True)
         init(self, *args, **kwargs)
 
-    _clear_tables()
     monkeypatch.setattr(Label, "__init__", counted_init)
     entries = sum(len(decompose_perm_module(*args).entries) for args in [(12, 4, 2), (9, 3, 3)])
     assert len(built) <= 3 * entries
@@ -508,7 +506,6 @@ def test_decompose_validates_labels_independent_of_entry_count(monkeypatch):
     monkeypatch.setattr(Label, "__init__", counted_init)
     seen = []
     for args in [(9, 3, 2), (12, 4, 2)]:
-        _clear_tables()
         built.clear()
         seen.append((len(decompose_perm_module(*args).entries), len(built)))
     (small_entries, small), (large_entries, large) = seen
