@@ -303,7 +303,7 @@ def decompose_perm_module(n: int, m: int, q: int) -> Decomposition:
                 shape=stable_shape,
                 multiplicity=weight // cls,
                 class_size=cls,
-                degree=degree_poly(Shape(iota, parts)).evaluate(q),
+                degree=degree_poly(Shape(iota, parts), q),
             )
         )
     entries.sort(key=lambda e: e.shape.sort_key())

@@ -45,7 +45,9 @@ def _check_q(q, oracle=False):
 def _check_size(m, n_max, q, rows):
     """Refuse more than MAX_ROWS sizes or numbers of more than MAX_DIGITS digits: each
     is at most vic_hom_count(m, n, q) < q**(m * (2n - m)) or a dims denominator q**(m * m).
-    An n_max below m leaves no size, so it is refused too."""
+    A negative m, or an n_max below m, leaves no size, so each is refused too."""
+    if m < 0:
+        raise BadParameters(f"m must be non-negative, got m={m}")
     if n_max < m:
         raise BadParameters(f"no size n with m={m} <= n <= {n_max}")
     if rows > MAX_ROWS or m * max(m, 2 * n_max - m) * math.log10(q) > MAX_DIGITS:

@@ -3,9 +3,9 @@ of the free module on m generators.
 
 Everything is exact integer arithmetic.  One q-falling factorial,
 vic_hom_count(m, n, q) = |G_n| / |G_{n-m}|, also gives the group order.
-Green degrees are kept in factored form and evaluated with one exact
-division after equal factors cancel; degree values overflow 64 bits
-quickly, so they are Python ints.  The one rational polynomial is the
+degree_poly(shape, q) is the integer Green degree at q, one exact
+division after equal factors q^e - 1 cancel; degree values overflow 64
+bits quickly, so they are Python ints.  The one rational polynomial is the
 point-count polynomial that `glstab dims` prints, an {exponent: Fraction}
 dict.
 """
@@ -87,49 +87,34 @@ def cuspidal_count(d, q) -> int:
     return count
 
 
-class GreenDegree:
-    """Green's degree formula in factored form (Green, Trans. AMS 1955;
-    Macdonald, Symmetric Functions and Hall Polynomials, Ch. IV):
+def degree_poly(shape: Shape, q) -> int:
+    """Green degree at q of the irreducible with the given full label (Green,
+    Trans. AMS 1955; Macdonald, Symmetric Functions and Hall Polynomials, Ch. IV):
 
-        q^shift * prod_{i=1..norm} (q^i - 1) / prod_{e in hook_exps} (q^e - 1).
-    """
+        q^shift * prod_{i=1..norm} (q^i - 1) / prod_{e in hook_exps} (q^e - 1),
 
-    __slots__ = ("shift", "norm", "hook_exps")
-
-    def __init__(self, shift, norm, hook_exps):
-        self.shift, self.norm, self.hook_exps = shift, norm, hook_exps
-
-    def evaluate(self, q) -> int:
-        # equal factors q^e - 1 cancel first; the reduced quotient is integral iff the original is
-        ups, downs = set(range(1, self.norm + 1)), []
-        for e in self.hook_exps:
-            if e in ups:
-                ups.remove(e)
-            else:
-                downs.append(e)
-        num = q**self.shift * prod(q**i - 1 for i in ups)
-        deg, rem = divmod(num, prod(q**e - 1 for e in downs))
-        if rem:
-            raise InvariantViolated(
-                f"inexact Green degree quotient at q={q}: shift={self.shift},"
-                f" norm={self.norm}, hook exponents={self.hook_exps}"
-            )
-        return deg
-
-
-def degree_poly(shape: Shape) -> GreenDegree:
-    """Green degree of the irreducible with the given full label.
-
-    The shape here describes a full label at its own norm (the iota entry is
-    the padded partition, not a stable tail).
+    with shift = sum d * n(rows) and hook_exps the d * h over the hooks h of
+    each part of degree d.  The shape here describes a full label at its own
+    norm (the iota entry is the padded partition, not a stable tail).
     """
     parts = [(1, shape.iota)] if shape.iota else []
     parts += list(shape.parts)
-    return GreenDegree(
-        shift=sum(d * pt.n_stat(rows) for d, rows in parts),
-        norm=shape.norm(),
-        hook_exps=tuple(d * h for d, rows in parts for h in pt.hooks(rows)),
-    )
+    shift = sum(d * pt.n_stat(rows) for d, rows in parts)
+    hook_exps = tuple(d * h for d, rows in parts for h in pt.hooks(rows))
+    # equal factors q^e - 1 cancel first; the reduced quotient is integral iff the original is
+    ups, downs = set(range(1, shape.norm() + 1)), []
+    for e in hook_exps:
+        if e in ups:
+            ups.remove(e)
+        else:
+            downs.append(e)
+    deg, rem = divmod(q**shift * prod(q**i - 1 for i in ups), prod(q**e - 1 for e in downs))
+    if rem:
+        raise InvariantViolated(
+            f"inexact Green degree quotient at q={q}: shift={shift},"
+            f" norm={shape.norm()}, hook exponents={hook_exps}"
+        )
+    return deg
 
 
 def sum_degree_squares_check(n, q) -> bool:
@@ -138,7 +123,7 @@ def sum_degree_squares_check(n, q) -> bool:
         raise GuardExceeded("degree census guard exceeded", n=n, q=q)
     total = 0
     for shape, cls in enumerate_labels(n, q):
-        deg = degree_poly(shape).evaluate(q)
+        deg = degree_poly(shape, q)
         total += cls * deg * deg
     return total == gl_order(n, q)
 

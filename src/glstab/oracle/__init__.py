@@ -12,14 +12,12 @@ from .counts import (
 )
 from .fields import Field, field
 from .orbits import burnside_count, orbit_count, orbit_partition
-from .vic import VicMorphism, compose, embed, standard_morphism, vic_morphisms
+from .vic import VicMorphism, embed, vic_morphisms
 
 __all__ = [
     "Field",
     "field",
     "VicMorphism",
-    "standard_morphism",
-    "compose",
     "embed",
     "vic_morphisms",
     "orbit_count",

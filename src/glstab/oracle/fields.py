@@ -1,12 +1,13 @@
 """Dense arithmetic tables for the finite fields of order at most 9.
 
 Elements are encoded as integers 0..q-1; for q = p^k the integer's base-p
-digits are the coefficients of a polynomial in the generator x, reduced
-modulo a fixed irreducible polynomial:
+digits are the coefficients of a polynomial in x, and the tables add and
+multiply these polynomials modulo a fixed monic irreducible of degree k:
 
-    q = 4:  x^2 + x + 1
-    q = 8:  x^3 + x + 1
-    q = 9:  x^2 + 1
+    q = 2, 3, 5, 7:  x  (so the tables are the integers mod p)
+    q = 4:           x^2 + x + 1
+    q = 8:           x^3 + x + 1
+    q = 9:           x^2 + 1
 
 Table lookup keeps inner enumeration loops branch-free and exact.
 """
@@ -18,12 +19,8 @@ from functools import lru_cache
 from ..degrees import prime_power
 from ..errors import BadParameters
 
-# coefficients low-to-high, monic of degree k
-_IRREDUCIBLE = {
-    (2, 2): (1, 1, 1),
-    (2, 3): (1, 1, 0, 1),
-    (3, 2): (1, 0, 1),
-}
+# the modulus for each q = p^k: coefficients low-to-high, monic of degree k
+_MODULUS = {2: (0, 1), 3: (0, 1), 4: (1, 1, 1), 5: (0, 1), 7: (0, 1), 8: (1, 1, 0, 1), 9: (1, 0, 1)}
 
 MAX_Q = 9
 
@@ -67,28 +64,15 @@ class Field:
         if q > MAX_Q:
             raise BadParameters(f"field tables only built for q <= {MAX_Q}")
         self.q, self.p, self.k = q, p, k
-        if k == 1:
-            self.add = tuple(tuple((a + b) % p for b in range(q)) for a in range(q))
-            self.mul = tuple(tuple((a * b) % p for b in range(q)) for a in range(q))
-        else:
-            irr = _IRREDUCIBLE[(p, k)]
-            self.add = tuple(
-                tuple(
-                    _undigits(
-                        [(x + y) % p for x, y in zip(_digits(a, p, k), _digits(b, p, k))],
-                        p,
-                    )
-                    for b in range(q)
-                )
-                for a in range(q)
-            )
-            self.mul = tuple(
-                tuple(
-                    _undigits(_poly_mul_mod(_digits(a, p, k), _digits(b, p, k), p, irr), p)
-                    for b in range(q)
-                )
-                for a in range(q)
-            )
+        irr = _MODULUS[q]
+        digits = [_digits(a, p, k) for a in range(q)]
+        self.add = tuple(
+            tuple(_undigits([(x + y) % p for x, y in zip(da, db)], p) for db in digits)
+            for da in digits
+        )
+        self.mul = tuple(
+            tuple(_undigits(_poly_mul_mod(da, db, p, irr), p) for db in digits) for da in digits
+        )
         self.neg = tuple(next(b for b in range(q) if self.add[a][b] == 0) for a in range(q))
         self.inv = (None,) + tuple(
             next(b for b in range(1, q) if self.mul[a][b] == 1) for a in range(1, q)

@@ -13,9 +13,9 @@ from dataclasses import dataclass
 from itertools import product
 
 from ..degrees import vic_hom_count
-from ..errors import BadParameters, GuardExceeded, InvariantViolated
+from ..errors import GuardExceeded, InvariantViolated
 from .fields import Field, field
-from .matrices import mat_mul, rank, rref
+from .matrices import rref
 
 VIC_SPACE_GUARD = 2**22
 
@@ -35,50 +35,6 @@ class VicMorphism:
     @property
     def m(self) -> int:
         return len(self.f[0]) if self.f else 0
-
-
-def make_vic(q, f_rows, K_rows) -> VicMorphism:
-    F = field(q)
-    f_rows = tuple(tuple(r) for r in f_rows)
-    K_rows = tuple(tuple(r) for r in K_rows)
-    n = len(f_rows)
-    m = len(f_rows[0]) if f_rows else 0
-    if m and rank(F, f_rows) != m:
-        raise BadParameters("map part is not injective")
-    if K_rows:
-        K_rows, _ = rref(F, K_rows)
-    if len(K_rows) != n - m:
-        raise BadParameters("complement has wrong dimension")
-    stacked = K_rows + tuple(zip(*f_rows)) if m else K_rows
-    if n and rank(F, stacked) != n:
-        raise BadParameters("complement does not complement the image")
-    return VicMorphism(q=q, f=f_rows, K=K_rows)
-
-
-def standard_morphism(m, n, q) -> VicMorphism:
-    """Inclusion onto the first m coordinates, complement the last n - m."""
-    if not 0 <= m <= n:
-        raise BadParameters(f"need 0 <= m <= n, got m={m}, n={n}")
-    f = tuple(tuple(1 if i == j else 0 for j in range(m)) for i in range(n))
-    K = tuple(tuple(1 if j == m + i else 0 for j in range(n)) for i in range(n - m))
-    return VicMorphism(q=q, f=f, K=K)
-
-
-def compose(g: VicMorphism, f: VicMorphism) -> VicMorphism:
-    """(g, L) after (f, K): map g.f, complement g(K) + L."""
-    if g.q != f.q:
-        raise BadParameters("morphisms over different fields")
-    if g.m != f.n:
-        raise BadParameters(f"cannot compose {g.m} <- with -> {f.n}")
-    F = field(g.q)
-    if f.m:
-        comp = mat_mul(F, g.f, f.f)
-    else:
-        comp = tuple(() for _ in range(g.n))
-    pushed = tuple(
-        tuple(row) for row in zip(*mat_mul(F, g.f, tuple(zip(*f.K))))
-    ) if f.K else ()
-    return make_vic(g.q, comp, pushed + g.K)
 
 
 def _span(F: Field, basis_rows):

@@ -57,13 +57,11 @@ def _result(criterion, name, ok, detail=""):
 def check_census(quick=False):
     """1: the full character census of the 168-element group at n=3, q=2."""
     labels = enumerate_labels(3, 2)
-    degs = sorted(
-        deg for shape, c in labels for deg in [degree_poly(shape).evaluate(2)] * c
-    )
+    degs = sorted(deg for shape, c in labels for deg in [degree_poly(shape, 2)] * c)
     shapes_ok = len(labels) == 5
     classes_ok = sum(c for _, c in labels) == 6
     degs_ok = degs == [1, 3, 3, 6, 7, 8]
-    sumsq = sum(c * degree_poly(s).evaluate(2) ** 2 for s, c in labels)
+    sumsq = sum(c * degree_poly(s, 2) ** 2 for s, c in labels)
     sum_ok = sumsq == gl_order(3, 2) == 168
     oracle_ok = conjugacy_class_count(3, 2) == 6
     ok = shapes_ok and classes_ok and degs_ok and sum_ok and oracle_ok

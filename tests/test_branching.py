@@ -156,8 +156,8 @@ def test_restriction_sums_to_dimension_ratio():
             n = mu.norm()
             total = 0
             for nu, (mult, cnt) in _restriction(mu, q).items():
-                total += mult * cnt * degree_poly(shape_of(nu)).evaluate(q)
-            assert total == degree_poly(mu_shape).evaluate(q)
+                total += mult * cnt * degree_poly(shape_of(nu), q)
+            assert total == degree_poly(mu_shape, q)
 
 
 def test_decompose_known_n3_m1_q2():

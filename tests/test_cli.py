@@ -128,6 +128,19 @@ def test_dims_n_max_below_m_exits_2():
     assert json.loads(err.getvalue())["error"] == "bad_parameters"
 
 
+def test_negative_m_exits_2_with_one_reason():
+    """dims, stability and decompose refuse m < 0 by one rule, naming m and no n."""
+    for argv in (["dims", "--m", "-1", "--q", "2", "--n-max", "3"],
+                 ["stability", "--m", "-1", "--q", "2", "--n-max", "3"],
+                 ["decompose", "--m", "-1", "--q", "2"]):
+        err = io.StringIO()
+        with redirect_stderr(err):
+            code, out = run_cli(argv)
+        assert (code, out) == (2, ""), argv
+        payload = json.loads(err.getvalue())
+        assert payload == {"error": "bad_parameters", "reason": "m must be non-negative, got m=-1"}, argv
+
+
 def test_weakstab_r_max_below_m_exits_2():
     err = io.StringIO()
     with redirect_stderr(err):
