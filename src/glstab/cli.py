@@ -21,6 +21,7 @@ from .degrees import p_polynomial, poly_value, prime_power, vic_hom_count
 from .errors import BadParameters, GuardExceeded, InvariantViolated
 from .labels import format_shape, label_of_shape, parse_shape
 from .oracle.counts import (
+    _space,
     conjugacy_class_count,
     double_cosets_gl,
     weakstab_cosets,
@@ -210,7 +211,7 @@ def cmd_oracle(args, out):
     if args.oracle_cmd == "classes":
         return _emit_value(conjugacy_class_count(args.n, args.q), args.format, out)
     if args.oracle_cmd == "vic-count":
-        return _emit_value(len(vic_morphisms(args.m, args.n, args.q)), args.format, out)
+        return _emit_value(len(_space(args.m, args.n, args.q)[0]), args.format, out)
     if args.r_max < args.m:
         raise BadParameters(f"need r_max >= m, got r_max={args.r_max}, m={args.m}")
     # weakstab: one count per r, the largest r first so that a size guard refuses at once

@@ -2,10 +2,10 @@
 
 Orbit spaces are the morphism sets from vic.py, but the hot loops run on a
 packed encoding: a vector in F_q^n is the integer with its coordinates as
-base-q digits (a plain bitmask when q = 2), a point is the fixed-width
-concatenation of the m map columns and the n-m reduced-echelon complement
-rows, and each group generator acts through a precomputed full
-matrix-times-vector table.
+base-q digits, a point is the fixed-width concatenation of the m map columns
+and the n-m reduced-echelon complement rows, and each group generator acts
+through a precomputed full matrix-times-vector table.  Every q takes the same
+path: packed vectors are added, scaled and reduced through the field tables.
 
 The space build does no row reduction: it lists each complement once,
 directly in reduced echelon form (one Schubert cell per pivot set), and
@@ -26,9 +26,13 @@ from ..errors import BadParameters, GuardExceeded, InvariantViolated
 from . import matrices as mx
 from .fields import field
 from .orbits import orbit_count, orbit_partition
-from .vic import VIC_SPACE_GUARD, space_size
+from .vic import space_size
 
 GROUP_SCAN_GUARD = 2**24
+# q**n, the size of each generator's matvec table.  A space from F_q^m, m >= 1, has
+# at least a line's (q**n - 1) * q**(n - 1) points, so within VIC_SPACE_GUARD (2**22)
+# its q**n is at most 2**12 (4**6 and 8**4); only m = 0, one point, reaches past it.
+VECTOR_GUARD = 2**12
 CLASS_GUARD = 2**21
 
 
@@ -73,54 +77,40 @@ def group_generators(n, q):
 # packed-vector plumbing
 
 
-def _vadd(a, b, n, q, F):
-    if q == 2:
-        return a ^ b
-    out, mul = 0, 1
-    for _ in range(n):
-        out += F.add[a % q][b % q] * mul
+def _axpy(a, c, b, q, F):
+    """a + c*b for packed vectors over F_q, digit by digit through the field tables."""
+    add, mul = F.add, F.mul[c]
+    out, unit = 0, 1
+    while a or b:
+        out += add[a % q][mul[b % q]] * unit
         a //= q
         b //= q
-        mul *= q
+        unit *= q
     return out
-
-
-def _vscale(c, v, n, q, F):
-    if q == 2:
-        return v if c else 0
-    out, mul = 0, 1
-    for _ in range(n):
-        out += F.mul[c][v % q] * mul
-        v //= q
-        mul *= q
-    return out
-
-
-def _rref_bits(rows):
-    piv = {}
-    for r in rows:
-        for p, b in piv.items():
-            if r & p:
-                r ^= b
-        if r:
-            p = r & -r
-            for pp in piv:
-                if piv[pp] & p:
-                    piv[pp] ^= r
-            piv[p] = r
-    return tuple(piv[p] for p in sorted(piv))
 
 
 def _pack(digits, q):
     return sum(d * q**i for i, d in enumerate(digits))
 
 
-def _rref_packed(rows, n, q, F):
-    """Reduced echelon form of packed row vectors, sorted by pivot column."""
-    if q == 2:
-        return _rref_bits(rows)
-    red, _ = mx.rref(F, tuple(tuple(v // q**i % q for i in range(n)) for v in rows))
-    return tuple(_pack(row, q) for row in red)
+def _rref_packed(rows, q, F):
+    """Reduced echelon form of packed row vectors, sorted by pivot column: a row's
+    pivot is its lowest nonzero digit, scaled to 1 and cleared from the other rows."""
+    piv = {}  # q**(pivot column) -> its row
+    for r in rows:
+        for p, b in piv.items():
+            if d := r // p % q:
+                r = _axpy(r, F.neg[d], b, q, F)
+        if r:
+            p = 1
+            while not r // p % q:
+                p *= q
+            r = _axpy(0, F.inv[r // p % q], r, q, F)
+            for pp, b in piv.items():
+                if d := b // p % q:
+                    piv[pp] = _axpy(b, F.neg[d], r, q, F)
+            piv[p] = r
+    return tuple(piv[p] for p in sorted(piv))
 
 
 def _matvec_table(h_rows, n, q, F):
@@ -130,9 +120,8 @@ def _matvec_table(h_rows, n, q, F):
     stride = 1
     for i in range(n):
         for d in range(1, q):
-            base = _vscale(d, packed_cols[i], n, q, F)
             for rest in range(stride):
-                table[d * stride + rest] = _vadd(base, table[rest], n, q, F)
+                table[d * stride + rest] = _axpy(table[rest], d, packed_cols[i], q, F)
         stride *= q
     return table
 
@@ -145,36 +134,28 @@ def _space(m, n, q):
     coordinates above p_i.  The coordinate subspace E on the other m
     coordinates is a complement of C, so the injections whose image meets C
     only in 0 are the column tuples a_i + c_i with (a_i) an ordered basis of E
-    and each c_i in C.  Each coset a + C is built once per C.
+    and each c_i in C.  E's ordered bases are listed once per call, and each
+    coset a + C once per C.
     """
     space_size(m, n, q)  # refuses a space past the guard
     # the complement's span and each generator's table have q**n entries, even at m = 0
-    if n * (q.bit_length() - 1) > VIC_SPACE_GUARD.bit_length() - 1 or q**n > VIC_SPACE_GUARD:
+    if n * (q.bit_length() - 1) > VECTOR_GUARD.bit_length() - 1 or q**n > VECTOR_GUARD:
         raise GuardExceeded("vector space exceeds guard", n=n, q=q)
     F = field(q)
     S = (q**n - 1).bit_length()
     size = q**m  # E, in local coordinates: the packed vectors of F_q^m
-    add = [[_vadd(x, y, m, q, F) for y in range(size)] for x in range(size)]
-    scale = [[_vscale(c, x, m, q, F) for x in range(size)] for c in range(q)]
+    add = [[_axpy(x, 1, y, q, F) for y in range(size)] for x in range(size)]
+    scale = [[_axpy(0, c, x, q, F) for x in range(size)] for c in range(q)]
     shifts = [S * (n - 1 - i) for i in range(m)]  # column i of a point
+    # E's ordered bases as a tree: choices[i] lists, for each partial basis of i
+    # vectors in order, the vectors off its span
+    choices, spans = [], [{0}]
+    for i in range(m):
+        choices.append([[a for a in range(1, size) if a not in span] for span in spans])
+        if i < m - 1:  # the spans of whole bases, all of E, are never read
+            spans = [span | {add[s][scale[c][a]] for s in span for c in range(1, q)}
+                     for span, after in zip(spans, choices[i]) for a in after]
     points = []
-    grown = {}  # (span of the basis vectors chosen so far, next one) -> bigger span
-
-    def fill(prefixes, i, span, cosets):
-        if i == m:
-            points.extend(prefixes)
-            return
-        for a in range(1, size):
-            if a in span:
-                continue
-            bigger = grown.get((span, a))
-            if bigger is None:
-                bigger = grown[span, a] = span | {
-                    add[s][scale[c][a]] for s in span for c in range(1, q)
-                }
-            level = cosets[a][i]
-            fill([p | v for p in prefixes for v in level], i + 1, bigger, cosets)
-
     for piv in combinations(range(n), n - m):
         others = [j for j in range(n) if j not in piv]
         to_packed = [sum(a // q**t % q * q**j for t, j in enumerate(others)) for a in range(size)]
@@ -193,8 +174,12 @@ def _space(m, n, q):
                 [[(x + to_packed[add[a][e]]) << sh for x, e in span] for sh in shifts]
                 for a in range(1, size)
             ]
-            fill([key], 0, frozenset((0,)), cosets)
-    del fill  # it refers to itself: unbound, it and its tables go now, not at a later GC
+            parts = [[key]]  # the points begun by each partial basis, in order
+            for i, avail in enumerate(choices):
+                parts = [[p | v for p in part for v in cosets[a][i]]
+                         for part, after in zip(parts, avail) for a in after]
+            for part in parts:
+                points += part
     total = vic_hom_count(m, n, q)
     if len(points) != total:
         raise InvariantViolated(f"built {len(points)} points of ({m},{n},{q}); expected {total}")
@@ -249,7 +234,7 @@ def _orbit_data(m, n, q, ell):
     for h in _block_subgroup_generators(ell, q, n):
         table = _matvec_table(h, n, q, F)
         outer = [_part_image(table, x, m, S) for x in highs]
-        inner = [_part_image(table, x, n - m, S, lambda rows: _rref_packed(rows, n, q, F)) for x in lows]
+        inner = [_part_image(table, x, n - m, S, lambda rows: _rref_packed(rows, q, F)) for x in lows]
         actions.append((_ranks(outer, high_rank), _ranks(inner, low_rank)))
     numbers = (high_rank[p >> k_bits] + low_rank[p & k_mask] for p in points)
     del points  # the search holds only numbers: the packed points go once they are numbered

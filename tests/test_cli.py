@@ -317,9 +317,10 @@ def test_m0_oracle_work_is_bounded():
     """At m = 0 the space has one point at every n, but the oracle's complement span
     and generator tables have q**n entries: past the guard, decompose skips its
     oracle check and the oracle exits 2, at once even for a huge n."""
-    code, out = run_cli(["decompose", "--m", "0", "--n", "40", "--q", "2"])
-    assert code == 0
-    assert out.endswith("checks: dimension ok, oracle sum-of-squares SKIPPED\n")
+    for n, q in [("40", "2"), ("11", "4")]:
+        code, out = run_cli(["decompose", "--m", "0", "--n", n, "--q", q])
+        assert code == 0
+        assert out.endswith("checks: dimension ok, oracle sum-of-squares SKIPPED\n")
     cases = [
         (["double-cosets", "--n", "100", "--m", "0", "--q", "2"], {"n": 100, "q": 2}),
         (["double-cosets", "--n", "10000000", "--m", "0", "--q", "3"], {"n": 10000000, "q": 3}),
@@ -330,6 +331,18 @@ def test_m0_oracle_work_is_bounded():
         with redirect_stderr(err):
             assert run_cli(["oracle", *argv]) == (2, ""), argv
         assert json.loads(err.getvalue())["limits"] == limits
+
+
+def test_vic_count_counts_the_packed_space():
+    """vic-count builds the packed points, not one object per morphism: the largest
+    m = 1 space the guard admits is counted in seconds, and m = 0 past the vector
+    guard exits 2 at once."""
+    proc = run_module(["oracle", "vic-count", "--m", "1", "--n", "11", "--q", "2"], timeout=20)
+    assert (proc.returncode, proc.stdout) == (0, "2096128\n"), proc.stderr
+    proc = run_module(["oracle", "vic-count", "--m", "0", "--n", "100000", "--q", "2"], timeout=10)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    err = json.loads(proc.stderr)
+    assert (err["error"], err["limits"]) == ("guard_exceeded", {"n": 100000, "q": 2})
 
 
 def test_guard_violation_exits_2_with_reason():

@@ -33,7 +33,7 @@ from glstab.oracle.counts import (
     weakstab_cosets,
     weakstab_map_surjective,
 )
-from glstab.oracle.fields import field
+from glstab.oracle.fields import MAX_Q, field
 from glstab.oracle.orbits import NOT_A_POINT, burnside_count, orbit_count, orbit_partition
 from glstab.oracle.vic import VicMorphism, embed, vic_morphisms
 from glstab.verification import check_weak_stability
@@ -115,9 +115,12 @@ def test_packed_space_agrees_with_object_enumeration():
 
 @st.composite
 def small_spaces(draw, bound=3000):
-    """(m, n, q) with at most `bound` morphisms, q over the oracle's field sizes."""
+    """(m, n, q) with at most `bound` morphisms and q**n within the oracle's
+    vector guard, q over the oracle's field sizes."""
     q = draw(st.sampled_from([2, 3, 4, 5, 7, 8, 9]))
     n = draw(st.integers(0, 6))
+    while q**n > counts.VECTOR_GUARD:
+        n -= 1
     m = draw(st.integers(0, n))
     while vic_hom_count(m, n, q) > bound:  # the count grows with m; m = 0 has one
         m -= 1
@@ -149,10 +152,62 @@ def test_space_build_does_no_row_reduction(monkeypatch):
         raise AssertionError("row reduction in the space build")
 
     monkeypatch.setattr(counts, "_rref_packed", forbidden)
-    monkeypatch.setattr(counts, "_rref_bits", forbidden)
     monkeypatch.setattr(mx, "rref", forbidden)
     for args in cases:
         assert _space(*args) == expected[args], args
+
+
+@st.composite
+def packed_rows(draw):
+    """(rows, n, q): up to five packed vectors of F_q^n, some repeated, some
+    combinations of the others and some zero, q over the oracle's field sizes."""
+    q = draw(st.sampled_from([2, 3, 4, 5, 7, 8, 9]))
+    n = draw(st.integers(0, 5))
+    F = field(q)
+    vec = st.integers(0, q**n - 1)
+    rows = draw(st.lists(vec, max_size=5))
+    for _ in range(draw(st.integers(0, 2))):
+        c, i, j = draw(st.integers(0, q - 1)), draw(vec), draw(vec)
+        if rows:
+            i, j = rows[i % len(rows)], rows[j % len(rows)]
+        rows.append(counts._axpy(i, c, j, q, F))
+    return draw(st.permutations(rows + draw(st.lists(st.just(0), max_size=2)))), n, q
+
+
+@given(packed_rows())
+@example(([], 3, 2))
+@example(([0, 0], 2, 3))
+@example(([5, 5, 0], 3, 2))
+@example(([1, 3, 4], 2, 4))
+def test_rref_packed_is_the_digit_rref(rows_n_q):
+    """_rref_packed on packed rows is mx.rref on their digits, packed again."""
+    rows, n, q = rows_n_q
+    F = field(q)
+    digits = tuple(tuple(v // q**i % q for i in range(n)) for v in rows)
+    red, _ = mx.rref(F, digits)
+    assert _rref_packed(rows, q, F) == tuple(sum(d * q**i for i, d in enumerate(r)) for r in red)
+
+
+def test_vector_guard_is_the_largest_table_a_map_space_needs():
+    """VECTOR_GUARD is the largest q**n of any space from F_q^m with m >= 1 that
+    VIC_SPACE_GUARD admits, for every q up to MAX_Q."""
+    # a line alone has q**(n-1) * (q**n - 1) >= 2**(n-1) maps, past the guard from n = 24
+    largest = max(
+        q**n
+        for q in range(2, MAX_Q + 1)
+        for n in range(1, 24)
+        for m in range(1, n + 1)
+        if vic_hom_count(m, n, q) <= vic.VIC_SPACE_GUARD
+    )
+    assert largest == counts.VECTOR_GUARD
+
+
+@pytest.mark.parametrize("call", [lambda: _space(0, 13, 2), lambda: double_cosets_gl(13, 0, 2)])
+def test_m0_past_the_vector_guard_is_refused(call):
+    """m = 0 has one point at every n, but its tables would have q**n entries."""
+    with pytest.raises(GuardExceeded) as info:
+        call()
+    assert info.value.limits == {"n": 13, "q": 2}
 
 
 def test_vic_morphisms_at_m0_skip_row_reduction(monkeypatch):
@@ -184,7 +239,7 @@ def test_packed_action_equals_object_action(m, n, q, ell):
             key = pack_vic(v, S)
             high = _part_image(table, key >> k_bits, m, S)
             low = _part_image(table, key & (1 << k_bits) - 1, n - m, S,
-                              lambda rows: _rref_packed(rows, n, q, F))
+                              lambda rows: _rref_packed(rows, q, F))
             assert high << k_bits | low == pack_vic(postcompose(F, h, v), S), (h, v)
 
 
