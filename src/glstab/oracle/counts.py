@@ -10,11 +10,12 @@ path: packed vectors are added, scaled and reduced through the field tables.
 The space build does no row reduction: it lists each complement once,
 directly in reduced echelon form (one Schubert cell per pivot set), and
 pairs it with the injections whose image it complements, as cosets of the
-complement.  The orbit search numbers a point a*w + b by the ranks of its map
-part and of its complement among the w complements; a generator is the ranks
-of every part's image.  No table outlives its call, and `weakstab_sequence`,
-the one caller that compares two sizes, holds only the previous size's
-representatives.
+complement, and numbers each point a*w + b as it lists it: b is the index of
+its complement among the w complements, a its m map columns as base-q**n
+digits.  A generator is the matvec table folded over the m columns and the rank
+of each complement's reduced image.  No table outlives its call, and
+`weakstab_sequence`, the one caller that compares two sizes, holds only the
+previous size's representatives.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ GROUP_SCAN_GUARD = 2**24
 # at least a line's (q**n - 1) * q**(n - 1) points, so within VIC_SPACE_GUARD (2**22)
 # its q**n is at most 2**12 (4**6 and 8**4); only m = 0, one point, reaches past it.
 VECTOR_GUARD = 2**12
-CLASS_GUARD = 2**21
+CLASS_GUARD = 2**18
 
 
 def enumerate_group(n, q):
@@ -127,15 +128,17 @@ def _matvec_table(h_rows, n, q, F):
 
 
 def _space(m, n, q):
-    """All packed points of the morphism space, plus the field width in bits.
+    """Every point of the morphism space as its number a*w + b, plus the w
+    complements as packed rows.
 
     For each pivot set, every complement C with those pivots is listed in
     reduced echelon form: row i is q**p_i plus free digits at the non-pivot
-    coordinates above p_i.  The coordinate subspace E on the other m
-    coordinates is a complement of C, so the injections whose image meets C
-    only in 0 are the column tuples a_i + c_i with (a_i) an ordered basis of E
-    and each c_i in C.  E's ordered bases are listed once per call, and each
-    coset a + C once per C.
+    coordinates above p_i; b is C's index in that listing.  The coordinate
+    subspace E on the other m coordinates is a complement of C, so the
+    injections whose image meets C only in 0 are the column tuples a_i + c_i
+    with (a_i) an ordered basis of E and each c_i in C; a reads those m
+    columns as base-q**n digits, column 0 highest.  E's ordered bases are
+    listed once per call, and each coset a + C once per C.
     """
     space_size(m, n, q)  # refuses a space past the guard
     # the complement's span and each generator's table have q**n entries, even at m = 0
@@ -143,10 +146,13 @@ def _space(m, n, q):
         raise GuardExceeded("vector space exceeds guard", n=n, q=q)
     F = field(q)
     S = (q**n - 1).bit_length()
+    total = vic_hom_count(m, n, q)
+    # each complement pairs with the |GL_m| * q**(m*(n-m)) injections whose image complements it
+    w = total // (vic_hom_count(m, m, q) * q ** (m * (n - m)))
     size = q**m  # E, in local coordinates: the packed vectors of F_q^m
     add = [[_axpy(x, 1, y, q, F) for y in range(size)] for x in range(size)]
     scale = [[_axpy(0, c, x, q, F) for x in range(size)] for c in range(q)]
-    shifts = [S * (n - 1 - i) for i in range(m)]  # column i of a point
+    digits = [q ** (n * (m - 1 - i)) * w for i in range(m)]  # column i's weight in a*w + b
     # E's ordered bases as a tree: choices[i] lists, for each partial basis of i
     # vectors in order, the vectors off its span
     choices, spans = [], [{0}]
@@ -155,7 +161,7 @@ def _space(m, n, q):
         if i < m - 1:  # the spans of whole bases, all of E, are never read
             spans = [span | {add[s][scale[c][a]] for s in span for c in range(1, q)}
                      for span, after in zip(spans, choices[i]) for a in after]
-    points = []
+    points, complements = [], []
     for piv in combinations(range(n), n - m):
         others = [j for j in range(n) if j not in piv]
         to_packed = [sum(a // q**t % q * q**j for t, j in enumerate(others)) for a in range(size)]
@@ -171,19 +177,19 @@ def _space(m, n, q):
             for p, f in zip(piv, fs):
                 span += [(x + t * q**p, add[e][scale[t][f]]) for t in range(1, q) for x, e in span]
             cosets = [None] + [
-                [[(x + to_packed[add[a][e]]) << sh for x, e in span] for sh in shifts]
+                [[(x + to_packed[add[a][e]]) * d for x, e in span] for d in digits]
                 for a in range(1, size)
             ]
-            parts = [[key]]  # the points begun by each partial basis, in order
+            parts = [[len(complements)]]  # the points begun by each partial basis, in order
+            complements.append(key)
             for i, avail in enumerate(choices):
-                parts = [[p | v for p in part for v in cosets[a][i]]
+                parts = [[p + v for p in part for v in cosets[a][i]]
                          for part, after in zip(parts, avail) for a in after]
             for part in parts:
                 points += part
-    total = vic_hom_count(m, n, q)
-    if len(points) != total:
+    if len(points) != total or len(complements) != w:
         raise InvariantViolated(f"built {len(points)} points of ({m},{n},{q}); expected {total}")
-    return tuple(points), S
+    return points, complements
 
 
 def _block_subgroup_generators(ell, q, n):
@@ -200,12 +206,12 @@ def _block_subgroup_generators(ell, q, n):
     return gens
 
 
-def _part_image(table, part, rows, S, reduce=tuple):
-    """A point part's image: its `rows` S-bit vectors, highest first, each sent
-    through the matvec table, passed through `reduce` and packed again."""
+def _part_image(table, part, rows, S, q, F):
+    """A complement's image: its `rows` S-bit rows, highest first, each sent
+    through the matvec table, row-reduced and packed again."""
     mask = (1 << S) - 1
     out = 0
-    for v in reduce([table[part >> S * i & mask] for i in range(rows - 1, -1, -1)]):
+    for v in _rref_packed([table[part >> S * i & mask] for i in range(rows - 1, -1, -1)], q, F):
         out = (out << S) | v
     return out
 
@@ -220,34 +226,37 @@ def _ranks(images, rank):
 
 def _orbit_data(m, n, q, ell):
     """Orbits of the block subgroup diag(1_ell, GL_{n-ell}) on the morphism space:
-    the representatives as packed points, the orbit index of a packed point, and S."""
-    points, S = _space(m, n, q)
+    the representatives as numbers, the orbit index of a packed point, the packed
+    point of a number, and S."""
+    numbers, lows = _space(m, n, q)
     F = field(q)
-    k_bits = S * (n - m)
-    k_mask = (1 << k_bits) - 1
-    highs = sorted({p >> k_bits for p in points})
-    lows = sorted({p & k_mask for p in points})
-    w = len(lows)
-    high_rank = {x: i * w for i, x in enumerate(highs)}  # the number of (x, the first complement)
+    Q, w, S = q**n, len(lows), (q**n - 1).bit_length()
+    k_mask, mask = (1 << S * (n - m)) - 1, (1 << S) - 1
     low_rank = {x: i for i, x in enumerate(lows)}
     actions = []
     for h in _block_subgroup_generators(ell, q, n):
         table = _matvec_table(h, n, q, F)
-        outer = [_part_image(table, x, m, S) for x in highs]
-        inner = [_part_image(table, x, n - m, S, lambda rows: _rref_packed(rows, q, F)) for x in lows]
-        actions.append((_ranks(outer, high_rank), _ranks(inner, low_rank)))
-    numbers = (high_rank[p >> k_bits] + low_rank[p & k_mask] for p in points)
-    del points  # the search holds only numbers: the packed points go once they are numbered
-    size = len(highs) * w
+        outer = [0]  # a map's image, its columns as base-Q digits
+        for _ in range(m):
+            outer = [x * Q + t for x in outer for t in table]
+        inner = [_part_image(table, x, n - m, S, q, F) for x in lows]
+        actions.append(([x * w for x in outer], _ranks(inner, low_rank)))
+    size = Q**m * w
+    numbers = iter(numbers)  # the list goes once the search has marked the points
     reps, labels = orbit_partition(numbers, size, actions)
 
+    def point(x):  # column m - 1 - j is a's base-Q digit j, at bits S * (n - m + j)
+        a, b = divmod(x, w)
+        return lows[b] | sum(a // Q ** (i - n + m) % Q << S * i for i in range(n - m, n))
+
     def label(key):
-        x = high_rank.get(key >> k_bits, size) + low_rank.get(key & k_mask, size)
-        if x >= size or labels[x] < 0:
+        x = w * sum((key >> S * i & mask) * Q ** (i - n + m) for i in range(n - m, n))
+        x += low_rank.get(key & k_mask, size)
+        if x >= size or labels[x] < 0 or point(x) != key:
             raise InvariantViolated(f"{key} is not a point of ({m},{n},{q})")
         return labels[x]
 
-    return tuple(highs[a] << k_bits | lows[b] for a, b in (divmod(x, w) for x in reps)), label, S
+    return reps, label, point, S
 
 
 def double_cosets_gl(n, m, q) -> int:
@@ -292,10 +301,10 @@ def weakstab_sequence(ell, m, r, q):
     No table outlives its step: only the previous size's representatives are kept."""
     prev = S0 = onto = None
     for n in count(ell + r):
-        reps, label, S = _orbit_data(m, n, q, ell)
+        reps, label, point, S = _orbit_data(m, n, q, ell)
         if prev is not None:
             onto = len({label(_embed_point(p, m, n - 1, q, S0, S)) for p in prev}) == len(reps)
-        prev, S0, label = reps, S, None  # the orbit table is dropped before the yield
+        prev, S0, label = map(point, reps), S, None  # drop the orbit table; decode reps lazily
         yield len(reps), onto
 
 

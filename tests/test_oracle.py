@@ -72,6 +72,20 @@ def pack_vic(v, S):
     return key
 
 
+def decode_space(m, n, q):
+    """_space's points as packed keys: number a*w + b is complement b's rows under
+    the map columns that a holds as base-q**n digits, column 0 highest."""
+    numbers, complements = _space(m, n, q)
+    S, w = (q**n - 1).bit_length(), len(complements)
+    keys = []
+    for x in numbers:
+        a, b = divmod(x, w)
+        cols = [a // q ** (n * (m - 1 - i)) % q**n for i in range(m)]
+        keys.append(sum(c << S * (n - 1 - i) for i, c in enumerate(cols)) | complements[b])
+    assert max(numbers) < q ** (n * m) * w
+    return keys, S
+
+
 def test_enumerate_group_counts():
     assert sum(1 for _ in enumerate_group(1, 2)) == 1
     assert sum(1 for _ in enumerate_group(2, 2)) == 6
@@ -108,7 +122,7 @@ def test_vic_morphisms_are_distinct_and_valid():
 
 def test_packed_space_agrees_with_object_enumeration():
     for m, n, q in [(1, 2, 2), (1, 3, 2), (2, 3, 2), (1, 2, 3), (2, 4, 3), (1, 3, 4)]:
-        points, S = _space(m, n, q)
+        points, S = decode_space(m, n, q)
         assert len(points) == len(set(points)) == vic_hom_count(m, n, q)
         assert set(points) == {pack_vic(v, S) for v in vic_morphisms(m, n, q)}
 
@@ -138,7 +152,7 @@ def small_spaces(draw, bound=3000):
 def test_packed_space_is_the_object_space(mnq):
     """The echelon-cell space build and the span-then-reduce object enumeration
     give the same point set."""
-    points, S = _space(*mnq)
+    points, S = decode_space(*mnq)
     assert len(points) == vic_hom_count(*mnq)
     assert set(points) == {pack_vic(v, S) for v in vic_morphisms(*mnq)}
 
@@ -147,6 +161,9 @@ def test_space_build_does_no_row_reduction(monkeypatch):
     """_space lists complements in reduced echelon form; it never row-reduces."""
     cases = [(2, 4, 2), (1, 3, 3), (2, 3, 4), (0, 3, 5), (2, 2, 3), (1, 2, 9)]
     expected = {args: _space(*args) for args in cases}
+    for m, n, q in cases:
+        points, S = decode_space(m, n, q)
+        assert sorted(points) == sorted(pack_vic(v, S) for v in vic_morphisms(m, n, q))
 
     def forbidden(*args):
         raise AssertionError("row reduction in the space build")
@@ -237,10 +254,9 @@ def test_packed_action_equals_object_action(m, n, q, ell):
         table = _matvec_table(h, n, q, F)
         for v in points:
             key = pack_vic(v, S)
-            high = _part_image(table, key >> k_bits, m, S)
-            low = _part_image(table, key & (1 << k_bits) - 1, n - m, S,
-                              lambda rows: _rref_packed(rows, q, F))
-            assert high << k_bits | low == pack_vic(postcompose(F, h, v), S), (h, v)
+            high = sum(table[key >> S * i & (1 << S) - 1] << S * i for i in range(n - m, n))
+            low = _part_image(table, key & (1 << k_bits) - 1, n - m, S, q, F)
+            assert high | low == pack_vic(postcompose(F, h, v), S), (h, v)
 
 
 def object_orbits(points, actions):
@@ -265,7 +281,7 @@ def test_numbered_orbits_are_the_object_orbits(m, n, q, ell):
     points = vic_morphisms(m, n, q)
     images = [{v: postcompose(F, h, v) for v in points} for h in _block_subgroup_generators(ell, q, n)]
     actions = [image.__getitem__ for image in images]
-    reps, label, S = _orbit_data(m, n, q, ell)
+    reps, label, point, S = _orbit_data(m, n, q, ell)
     numbered = {}
     for v in points:
         numbered.setdefault(label(pack_vic(v, S)), set()).add(pack_vic(v, S))
@@ -273,7 +289,7 @@ def test_numbered_orbits_are_the_object_orbits(m, n, q, ell):
     assert {frozenset(o) for o in numbered.values()} == {
         frozenset(pack_vic(v, S) for v in orbit) for orbit in expected
     }
-    assert sorted(numbered) == list(range(len(reps))) == [label(r) for r in reps]
+    assert sorted(numbered) == list(range(len(reps))) == [label(point(r)) for r in reps]
     assert len(reps) == orbit_count(points, actions) == len(expected)
 
 
@@ -284,17 +300,18 @@ def test_part_image_outside_the_parts_is_refused(monkeypatch):
 
 
 def test_known_parts_that_are_no_point_are_refused(monkeypatch):
-    """A point left out of the space still has both parts among the others', so
-    its number is known; the search refuses to reach it."""
+    """A point left out of the space still has its map a and its complement b
+    among the others', so its number a*w + b is in range; the search refuses to
+    reach it."""
     space = counts._space
 
     def short(m, n, q):
-        points, S = space(m, n, q)
-        k_bits = S * (n - m)
-        dropped, rest = points[0], points[1:]
-        assert any(p >> k_bits == dropped >> k_bits for p in rest)
-        assert any((p ^ dropped) & (1 << k_bits) - 1 == 0 for p in rest)
-        return rest, S
+        numbers, complements = space(m, n, q)
+        w = len(complements)
+        dropped, rest = numbers[0], numbers[1:]
+        assert any(p // w == dropped // w for p in rest)
+        assert any(p % w == dropped % w for p in rest)
+        return rest, complements
 
     monkeypatch.setattr(counts, "_space", short)
     with pytest.raises(InvariantViolated, match="is not a point"):
