@@ -29,7 +29,9 @@ the walk returns.  Walk n + 1 of a stability sweep takes walk n's moves a step
 later, but a memo across the sweep saved no time: the GC's scans of it cost what
 it saved.  A state's Label is built once, unchecked, from the valid partitions
 at a transition's leaves; Label's checks run only on what callers pass in.  A
-pinned walk prunes, after each down-move, the states that cannot reach its target.
+pinned walk prunes, after each down-move, the states that cannot reach its target,
+and its last pair stops after the down-move: the target is all named, so one
+up-move takes each state left to it in exactly one way.
 """
 
 from __future__ import annotations
@@ -159,7 +161,8 @@ def _can_reach(state: Label, goal: dict, r: int) -> bool:
     """Cheap necessary condition for reaching goal (key -> rows) with r up-moves and
     r - 1 down-moves left: each move shifts a row by at most one, so the goal's row
     minus the state's lies in 1 - r .. r on every row of every key (a key outside a
-    support is empty)."""
+    support is empty).  At r = 1 the rule is exact, arrow_up on every key, and the
+    last pair of a pinned walk relies on that."""
     left = dict(goal)
     return all(
         1 - r <= want - have <= r
@@ -169,28 +172,30 @@ def _can_reach(state: Label, goal: dict, r: int) -> bool:
 
 
 def _pin_anonymous(label: Label) -> Label:
-    """Give anonymous keys a concrete named identity (to fix an endpoint)."""
-    items = []
-    for key, rows in label.entries:
-        if key[0] == "anon":
-            items.append((named_key(key[1], f"pin{key[2]}"), rows))
-        else:
-            items.append((key, rows))
-    return Label(items)
+    """Give anonymous keys a concrete named identity (to fix an endpoint): slot i
+    becomes token (True, i) and a caller's token t becomes (False, t), so slot i
+    is one cuspidal at both ends of a walk and never one that a caller named."""
+    return Label(
+        (k if k == IOTA else named_key(k[1], (k[0] == "anon", k[2])), rows)
+        for k, rows in label.entries
+    )
 
 
-def _step(ctx, states, norm, target=None, r=0):
-    """Weights after one down/up pair that ends at the given norm; with a target
-    (key -> rows), states that cannot reach it in r more up-moves are dropped
-    between the two moves."""
+def _descend(ctx, states, target, r):
+    """Weights after one down-move, less the states that cannot reach target in r up-moves."""
     after_down = defaultdict(int)
     for st, w in states.items():
         for succ, c in ctx.down(st):
             after_down[succ] += w * c
-    if target is not None:
-        after_down = {st: w for st, w in after_down.items() if _can_reach(st, target, r)}
+    if target is None:
+        return after_down
+    return {st: w for st, w in after_down.items() if _can_reach(st, target, r)}
+
+
+def _step(ctx, states, norm, target=None, r=0):
+    """Weights after one down/up pair that ends at the given norm, pruned between."""
     after_up = defaultdict(int)
-    for st, w in after_down.items():
+    for st, w in _descend(ctx, states, target, r).items():
         for succ, c in ctx.up(st, norm):
             after_up[succ] += w * c
     return dict(after_up)
@@ -200,18 +205,21 @@ def zigzag_distribution(start: Label, m: int, q: int, target=None):
     """Path-count weights over canonical states after m down/up pairs.
 
     The named keys of start and target are the pinned support: the walk keeps
-    their cuspidals apart from the fresh ones it draws."""
+    their cuspidals apart from the fresh ones it draws.  A target is pinned
+    (canonical, all named) and has norm start.norm() + m."""
     ends = (start,) if target is None else (start, target)
     support = tuple(sorted({k for e in ends for k in e.support() if k[0] == "named"}))
     ctx = _Ctx(q, support) if target is None else _new_context(q, support)
     states = {canonical(start): 1}
     n0 = start.norm()
     goal = None if target is None else dict(target.entries)
-    for s in range(1, m + 1):
+    for s in range(1, m + 1 if target is None else m):
         states = _step(ctx, states, n0 + s, goal, m - s + 1)
-    if target is not None:
-        return {target: states[target]} if target in states else {}
-    return states
+    if target is None:
+        return states
+    if m:  # one up-move takes each state _descend keeps at r = 1 to the target, one way
+        states = {target: sum(_descend(ctx, states, goal, 1).values())}
+    return {target: states[target]} if states.get(target) else {}
 
 
 def count_zigzag(nu: Label, mu: Label, m: int, q: int) -> int:

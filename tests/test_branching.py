@@ -353,6 +353,73 @@ def test_reach_rule_after_the_down_move(state, target, r):
         )
 
 
+def test_pins_never_meet_a_callers_name():
+    """A pinned anonymous slot is a cuspidal apart from every named key, whatever
+    token the caller gave that key."""
+    for token in ("pin0", "a"):
+        start = Label({named_key(1, token): (1,)})
+        assert count_zigzag(start, Label({anon_key(1, 0): (1, 1)}), 1, 5) == 1
+        target = Label({anon_key(1, 0): (1,), named_key(1, token): (1,)})
+        assert count_zigzag(start, target, 1, 5) == 2
+        assert count_zigzag(trivial_label(1), target, 1, 5) == 1
+
+
+TOKENS = ["a", "b", "pin0", "pin1"]
+
+end_labels = st.builds(
+    lambda iota, named, anon: Label([(IOTA, iota), *named, *anon]),
+    _partition_of_size(0, 3),
+    st.lists(
+        st.tuples(st.tuples(st.integers(1, 2), st.sampled_from(TOKENS)), _partition_of_size(1, 2)),
+        max_size=2,
+        unique_by=lambda item: item[0],
+    ).map(lambda items: [(named_key(*dt), rows) for dt, rows in items]),
+    st.lists(
+        st.tuples(
+            st.sampled_from([anon_key(1, 0), anon_key(1, 1), anon_key(2, 0)]), _partition_of_size(1, 2)
+        ),
+        max_size=2,
+        unique_by=lambda item: item[0],
+    ),
+).filter(lambda s: s.norm() <= 6)
+
+
+def _count_or_refusal(nu, mu, q):
+    try:
+        return count_zigzag(nu, mu, mu.norm() - nu.norm(), q)
+    except BadParameters:
+        return "refused"
+
+
+@given(end_labels, end_labels, st.permutations(TOKENS + ["c", "pin2"]), st.sampled_from([2, 3, 4]))
+def test_renaming_named_tokens_keeps_the_count(nu, mu, names, q):
+    """count_zigzag depends on which named keys are the same cuspidal, not on their tokens."""
+    assume(0 <= mu.norm() - nu.norm() <= 3)
+    rename = dict(zip(TOKENS, names))
+
+    def renamed(label):
+        return Label(
+            (named_key(k[1], rename[k[2]]) if k[0] == "named" else k, rows) for k, rows in label.entries
+        )
+
+    assert _count_or_refusal(renamed(nu), renamed(mu), q) == _count_or_refusal(nu, mu, q)
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_last_pair_stops_after_the_down_move(q):
+    """A cold pinned count memoises no up-move into its target's norm: the target is
+    all named, so the last pair's up-move is _can_reach at r = 1, never a list."""
+    for m, iota in [(1, (1,)), (2, (3, 1)), (3, (6, 1))]:
+        mu = Label({IOTA: iota, anon_key(2, 0): (1,)})
+        n = mu.norm()
+        _clear_tables()
+        assert count_zigzag(trivial_label(n - m), mu, m, q) > 0
+        assert branching._new_context.cache_info().currsize == 1
+        ctx = _pinned_context(q, branching._pin_anonymous(mu))
+        assert bool(ctx._up_memo) == (m > 1)
+        assert all(norm < n for _, norm in ctx._up_memo), m
+
+
 def _h_bijection_items():
     """Every pinned count of the h-bijection sweep at (m, q) = (2, 2), (2, 3)."""
     items = []

@@ -109,7 +109,8 @@ def margin_walk(m, q, tail, n):
     Returns (states read, whether every one has an iota partition whose first
     row is longer than its second): the margin that keeps tilde well defined
     along the paths.  The walk reads every down-successor (the reach rule
-    does), every up-successor it steps on, and at the end only the target.
+    does), every up-successor it steps on before the last pair, and at the end
+    only the target, which the last down-move's survivors reach in one way each.
     """
     nu = _pin_anonymous(trivial_label(n - m))
     target = canonical(_pin_anonymous(pad(label_of_shape(make_shape(tail, ())), n)))
@@ -119,9 +120,10 @@ def margin_walk(m, q, tail, n):
     for s in range(1, m + 1):
         after_down = {succ for st in states for succ, _ in ctx.down(st)}
         kept = {st for st in after_down if _can_reach(st, goal, m - s + 1)}
-        states = {succ for st in kept for succ, _ in ctx.up(st, nu.norm() + s)}
-        if s == m:
-            states &= {target}
+        if s < m:
+            states = {succ for st in kept for succ, _ in ctx.up(st, nu.norm() + s)}
+        else:
+            states = {target} if kept else set()
         for state in after_down | states:
             rows = state.get(IOTA) + (0, 0)
             visited += 1
