@@ -39,6 +39,14 @@ def _key_sort(key):
     return (_KIND_RANK[key[0]], key[1], key[2])
 
 
+def _unordered(a, b) -> bool:
+    try:
+        sorted((a, b))
+    except TypeError:
+        return True
+    return False
+
+
 class Label:
     """Immutable finitely supported map from cuspidal keys to partitions."""
 
@@ -54,7 +62,12 @@ class Label:
             rows = pt.as_partition(rows)
             if rows:
                 cleaned.append((key, rows))
-        cleaned.sort(key=lambda kv: _key_sort(kv[0]))
+        try:
+            cleaned.sort(key=lambda kv: _key_sort(kv[0]))
+        except TypeError:  # tokens of one kind and degree that do not compare
+            clash = ", ".join(sorted({repr(k) for k, _ in cleaned for j, _ in cleaned
+                                      if k[:2] == j[:2] and _unordered(k[2], j[2])}))
+            raise BadParameters(f"cuspidal keys with tokens that do not compare: {clash}") from None
         keys = [k for k, _ in cleaned]
         if len(set(keys)) != len(keys):
             raise BadParameters("duplicate cuspidal key")

@@ -1,6 +1,7 @@
-"""Brute-force ground truth: finite fields, matrix groups, morphism spaces,
-orbit and double-coset counting.  Everything here is independent of the
-branching dynamic program and exists to cross-validate it."""
+"""Brute-force ground truth: finite fields, matrix groups, the morphism spaces
+(listed once, packed, by `counts._space`), orbit and double-coset counting.
+Everything here is independent of the branching dynamic program and exists to
+cross-validate it."""
 
 from .counts import (
     conjugacy_class_count,
@@ -11,18 +12,13 @@ from .counts import (
     weakstab_map_surjective,
 )
 from .fields import Field, field
-from .orbits import burnside_count, orbit_count, orbit_partition
-from .vic import VicMorphism, embed, vic_morphisms
+from .orbits import orbit_count, orbit_partition
 
 __all__ = [
     "Field",
     "field",
-    "VicMorphism",
-    "embed",
-    "vic_morphisms",
     "orbit_count",
     "orbit_partition",
-    "burnside_count",
     "enumerate_group",
     "group_generators",
     "double_cosets_gl",

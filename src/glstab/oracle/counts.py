@@ -1,8 +1,9 @@
 """Group enumeration, double cosets, and the stabilization checks.
 
-Orbit spaces are the morphism sets from vic.py, but the hot loops run on a
-packed encoding: a vector in F_q^n is the integer with its coordinates as
-base-q digits, a point is the fixed-width concatenation of the m map columns
+The orbit spaces are the morphism spaces: pairs of an injection F_q^m -> F_q^n
+and a complement of its image, the points of k[G_n/G_{n-m}].  `_space` is their
+one enumeration, packed: a vector in F_q^n is the integer with its coordinates
+as base-q digits, a point is the fixed-width concatenation of the m map columns
 and the n-m reduced-echelon complement rows, and each group generator acts
 through a precomputed full matrix-times-vector table.  Every q takes the same
 path: packed vectors are added, scaled and reduced through the field tables.
@@ -27,9 +28,9 @@ from ..errors import BadParameters, GuardExceeded, InvariantViolated
 from . import matrices as mx
 from .fields import field
 from .orbits import orbit_count, orbit_partition
-from .vic import space_size
 
 GROUP_SCAN_GUARD = 2**24
+VIC_SPACE_GUARD = 2**22
 # q**n, the size of each generator's matvec table.  A space from F_q^m, m >= 1, has
 # at least a line's (q**n - 1) * q**(n - 1) points, so within VIC_SPACE_GUARD (2**22)
 # its q**n is at most 2**12 (4**6 and 8**4); only m = 0, one point, reaches past it.
@@ -72,6 +73,19 @@ def group_generators(n, q):
             tuple(tuple(1 if j == (i - 1) % n else 0 for j in range(n)) for i in range(n))
         )
     return gens
+
+
+def space_size(m, n, q) -> int:
+    """vic_hom_count(m, n, q), refused past VIC_SPACE_GUARD.  The count is at least
+    q**(m*(2n-m-1)) >= 2**bits (q**n - q**i >= q**(n-1)); past 2**16 bits no count
+    prints in decimal, so refuse on that bound, not an m*n*log2(q)-bit product."""
+    bits = m * (2 * n - m - 1) * (q.bit_length() - 1)
+    if bits > 2**16:
+        raise GuardExceeded("morphism space exceeds guard", m=m, n=n, q=q, count=f">= 2**{bits}")
+    total = vic_hom_count(m, n, q)
+    if total > VIC_SPACE_GUARD:
+        raise GuardExceeded("morphism space exceeds guard", m=m, n=n, q=q, count=total)
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -140,13 +154,12 @@ def _space(m, n, q):
     columns as base-q**n digits, column 0 highest.  E's ordered bases are
     listed once per call, and each coset a + C once per C.
     """
-    space_size(m, n, q)  # refuses a space past the guard
+    total = space_size(m, n, q)  # refuses a space past the guard
     # the complement's span and each generator's table have q**n entries, even at m = 0
     if n * (q.bit_length() - 1) > VECTOR_GUARD.bit_length() - 1 or q**n > VECTOR_GUARD:
         raise GuardExceeded("vector space exceeds guard", n=n, q=q)
     F = field(q)
     S = (q**n - 1).bit_length()
-    total = vic_hom_count(m, n, q)
     # each complement pairs with the |GL_m| * q**(m*(n-m)) injections whose image complements it
     w = total // (vic_hom_count(m, m, q) * q ** (m * (n - m)))
     size = q**m  # E, in local coordinates: the packed vectors of F_q^m

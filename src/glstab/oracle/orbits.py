@@ -3,8 +3,7 @@
 The one orbit search is a breadth-first closure over numbers a*w + b: a
 generator is a pair of lists (outer, inner) sending a*w + b to outer[a] +
 inner[b].  `orbit_count` numbers any list of points for it, one part each.
-Burnside averaging over all group elements is the independent cross-check for
-small groups.  An image that is not a point raises InvariantViolated.
+An image that is not a point raises InvariantViolated.
 """
 
 from __future__ import annotations
@@ -59,20 +58,3 @@ def orbit_count(points, actions) -> int:
         perms.append((perm, [0]))
     return len(orbit_partition(range(len(points)), len(points), perms)[0])
 
-
-def burnside_count(points, element_actions) -> int:
-    """Average number of fixed points over every group element."""
-    order = len(element_actions)
-    total = 0
-    index = set(points)
-    for act in element_actions:
-        for p in points:
-            img = act(p)
-            if img not in index:
-                raise InvariantViolated(f"image {img!r} left the point set")
-            if img == p:
-                total += 1
-    orbits, rem = divmod(total, order)
-    if rem:
-        raise InvariantViolated(f"{total} fixed points over {order} group elements")
-    return orbits

@@ -95,6 +95,25 @@ def test_dims_table():
     assert "28" in out
 
 
+def test_dims_oracle_column_is_vic_count():
+    """Each dims oracle cell is `oracle vic-count`'s output, SKIPPED exactly where
+    the count exceeds 2**16 or vic-count refuses the space (q past the oracle's
+    fields, or m = 0 past its vector guard)."""
+    for q, n_max in ((2, 14), (3, 8), (4, 7), (11, 3)):
+        for m in range(3):
+            mq = ["--m", str(m), "--q", str(q)]
+            code, out = run_cli(["dims", *mq, "--n-max", str(n_max), "--format", "json"])
+            assert code == 0
+            for row in json.loads(out)["rows"]:
+                code, count = 2, ""
+                if int(row["count"]) <= 2**16:
+                    with redirect_stderr(io.StringIO()):
+                        code, count = run_cli(["oracle", "vic-count", *mq, "--n", str(row["n"])])
+                assert row["oracle"] == ("SKIPPED" if code == 2 else count.strip()), (m, q, row)
+    out = run_cli(["dims", "--m", "0", "--q", "2", "--n-max", "14"])[1]
+    assert [line.split()[-1] for line in out.splitlines()[-3:]] == ["1", "SKIPPED", "SKIPPED"]
+
+
 def test_oracle_subcommands():
     assert run_cli(["oracle", "double-cosets", "--n", "3", "--m", "1", "--q", "2"]) == (0, "7\n")
     assert run_cli(["oracle", "classes", "--n", "2", "--q", "3"]) == (0, "8\n")

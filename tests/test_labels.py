@@ -68,6 +68,16 @@ def test_label_rejects_bad_keys():
         Label({("weird", 1, 0): (1,)})
 
 
+def test_label_refuses_tokens_that_do_not_compare():
+    """Two named tokens of one degree that cannot be ordered are a bad key pair,
+    named in the refusal; tokens of other degrees may differ in type."""
+    with pytest.raises(BadParameters, match=r"\('named', 1, 'a'\), \('named', 1, 0\)$"):
+        Label({named_key(1, "a"): (1,), named_key(1, 0): (1,), named_key(2, 0): (1,)})
+    with pytest.raises(BadParameters, match=r"\('named', 1, \(0, 'a'\)\), \('named', 1, \(0, 1\)\)$"):
+        Label({named_key(1, (0, 1)): (1,), named_key(1, (0, "a")): (1,), named_key(1, (1, 1)): (1,)})
+    assert Label({named_key(1, "a"): (1,), named_key(2, 0): (1,)}).norm() == 3
+
+
 def test_trivial_label():
     assert trivial_label(0) == Label()
     assert trivial_label(4) == Label({IOTA: (4,)})
