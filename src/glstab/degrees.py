@@ -46,6 +46,8 @@ def _is_prime(n) -> bool:
 
 def prime_power(q):
     """Return (p, k) with q = p**k, or raise BadParameters; q must be below 2**64."""
+    if not isinstance(q, int):
+        raise BadParameters(f"q must be an integer, got {q!r}")
     if q >= 2**64:
         raise BadParameters("q must be below 2**64")
     for k in range(1, max(q, 1).bit_length()):

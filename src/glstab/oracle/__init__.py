@@ -1,25 +1,23 @@
-"""Brute-force ground truth: finite fields, matrix groups, the morphism spaces
-(listed once, packed, by `counts._space`), orbit and double-coset counting.
-Everything here is independent of the branching dynamic program and exists to
+"""Brute-force ground truth: finite fields, the morphism spaces (listed once,
+packed, by `counts._space`; GL_n is the space at m = n), orbit, double-coset
+and conjugacy-class counting, all in the one packed arithmetic.  Everything
+here is independent of the branching dynamic program and exists to
 cross-validate it."""
 
 from .counts import (
     conjugacy_class_count,
     double_cosets_gl,
-    enumerate_group,
     group_generators,
     weakstab_cosets,
     weakstab_map_surjective,
 )
 from .fields import Field, field
-from .orbits import orbit_count, orbit_partition
+from .orbits import orbit_partition
 
 __all__ = [
     "Field",
     "field",
-    "orbit_count",
     "orbit_partition",
-    "enumerate_group",
     "group_generators",
     "double_cosets_gl",
     "weakstab_cosets",

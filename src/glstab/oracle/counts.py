@@ -1,4 +1,4 @@
-"""Group enumeration, double cosets, and the stabilization checks.
+"""Morphism spaces, double cosets, conjugacy classes and the stabilization checks.
 
 The orbit spaces are the morphism spaces: pairs of an injection F_q^m -> F_q^n
 and a complement of its image, the points of k[G_n/G_{n-m}].  `_space` is their
@@ -17,6 +17,10 @@ digits.  A generator is the matvec table folded over the m columns and the rank
 of each complement's reduced image.  No table outlives its call, and
 `weakstab_sequence`, the one caller that compares two sizes, holds only the
 previous size's representatives.
+
+At m = n the space is GL_n itself, with one (empty) complement, so a number is
+a matrix's n columns as base-q**n digits; `conjugacy_class_count` conjugates
+those columns through each generator's matvec table and its inverse.
 """
 
 from __future__ import annotations
@@ -25,27 +29,15 @@ from itertools import combinations, count, product
 
 from ..degrees import gl_order, vic_hom_count
 from ..errors import BadParameters, GuardExceeded, InvariantViolated
-from . import matrices as mx
 from .fields import field
-from .orbits import orbit_count, orbit_partition
+from .orbits import orbit_partition
 
-GROUP_SCAN_GUARD = 2**24
 VIC_SPACE_GUARD = 2**22
 # q**n, the size of each generator's matvec table.  A space from F_q^m, m >= 1, has
 # at least a line's (q**n - 1) * q**(n - 1) points, so within VIC_SPACE_GUARD (2**22)
 # its q**n is at most 2**12 (4**6 and 8**4); only m = 0, one point, reaches past it.
 VECTOR_GUARD = 2**12
 CLASS_GUARD = 2**18
-
-
-def enumerate_group(n, q):
-    """Every invertible n x n matrix over F_q (full scan, guarded)."""
-    if q ** (n * n) > GROUP_SCAN_GUARD:
-        raise GuardExceeded("group scan guard exceeded", n=n, q=q)
-    F = field(q)
-    for mat in mx.all_matrices(n, n, q):
-        if mx.rank(F, mat) == n:
-            yield mat
 
 
 def group_generators(n, q):
@@ -334,7 +326,8 @@ def weakstab_map_surjective(ell, m, r, q) -> bool:
 
 
 def conjugacy_class_count(n, q) -> int:
-    """Number of conjugation orbits, by BFS over generator conjugations."""
+    """Number of conjugation orbits on GL_n(F_q), the morphism space at m = n,
+    by BFS over generator conjugations."""
     if n < 1:
         raise BadParameters("n must be >= 1")
     # |GL_n(q)| >= q**(n*(n-1)) >= 2**bits (q**i - 1 >= q**(i-1)); past 2**16 bits no
@@ -345,10 +338,25 @@ def conjugacy_class_count(n, q) -> int:
     order = gl_order(n, q)
     if order > CLASS_GUARD:
         raise GuardExceeded("conjugacy class guard exceeded", n=n, q=q, order=order)
-    F = field(q)
-    elements = list(enumerate_group(n, q))
+    F = field(q)  # refuses a q with no tables before _space's vector guard can
+    Q = q**n
+    # one complement (w = 1): each number is the n columns as base-Q digits, column 0 highest
+    elements = _space(n, n, q)[0]
     actions = []
     for g in group_generators(n, q):
-        ginv = mx.inverse(F, g)
-        actions.append(lambda x, g=g, ginv=ginv: mx.mat_mul(F, mx.mat_mul(F, g, x), ginv))
-    return orbit_count(elements, actions)
+        table = _matvec_table(g, n, q, F)
+        preimages = [table.index(q**j) for j in range(n)]  # g^-1 e_j: g permutes F_q^n
+        # each as its nonzero (coordinate, digit) pairs
+        back = [[(i, d) for i in range(n) if (d := u // q**i % q)] for u in preimages]
+        conj = [0] * Q**n
+        for x in elements:
+            cols = [x // Q ** (n - 1 - i) % Q for i in range(n)]
+            y = 0
+            for u in back:  # column j of g x g^-1 is g(x(g^-1 e_j))
+                xu = 0
+                for i, d in u:
+                    xu = _axpy(xu, d, cols[i], q, F)
+                y = y * Q + table[xu]
+            conj[x] = y
+        actions.append((conj, [0]))
+    return len(orbit_partition(elements, Q**n, actions)[0])

@@ -2,8 +2,7 @@
 
 The one orbit search is a breadth-first closure over numbers a*w + b: a
 generator is a pair of lists (outer, inner) sending a*w + b to outer[a] +
-inner[b].  `orbit_count` numbers any list of points for it, one part each.
-An image that is not a point raises InvariantViolated.
+inner[b].  An image that is not a point raises InvariantViolated.
 """
 
 from __future__ import annotations
@@ -45,16 +44,4 @@ def orbit_partition(numbers, size, actions):
                         raise InvariantViolated(f"image {img} of a point is not a point")
                     labels[img] = orbit_id
                     frontier.append(img)
-
-
-def orbit_count(points, actions) -> int:
-    """Orbits of callable actions point -> point on a list of distinct points."""
-    index = {p: i for i, p in enumerate(points)}
-    perms = []
-    for act in actions:
-        perm = [index.get(act(p), -1) for p in points]
-        if -1 in perm:
-            raise InvariantViolated(f"image {act(points[perm.index(-1)])!r} left the point set")
-        perms.append((perm, [0]))
-    return len(orbit_partition(range(len(points)), len(points), perms)[0])
 

@@ -27,7 +27,6 @@ from .oracle.counts import (
     _space,
     conjugacy_class_count,
     double_cosets_gl,
-    enumerate_group,
     weakstab_sequence,
 )
 from .stability import (
@@ -98,7 +97,7 @@ def check_regular_representation(quick=False):
         sumsq_ok = dec.sum_squares() == gl_order(n, q)
         oracle_ok = True
         if (n, q) in ((2, 2), (2, 3), (3, 2)):
-            oracle_ok = sum(1 for _ in enumerate_group(n, q)) == dec.sum_squares()
+            oracle_ok = len(_space(n, n, q)[0]) == dec.sum_squares()
         out.append(
             _result(
                 3,

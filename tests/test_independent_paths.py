@@ -77,7 +77,7 @@ def test_concrete_imports_only_the_shared_core():
 
 def test_oracle_imports_only_the_shared_core():
     modules = sorted((ROOT / "oracle").glob("*.py"))
-    assert len(modules) >= 5
+    assert len(modules) >= 4
     bad = [v for path in modules for v in violations(path, ORACLE_ALLOWED, "glstab.oracle")]
     assert bad == []
 

@@ -17,7 +17,6 @@ import glstab
 import glstab.oracle.counts as counts
 from glstab.degrees import gl_order, vic_hom_count
 from glstab.errors import GuardExceeded, InvariantViolated
-from glstab.oracle import matrices as mx
 from glstab.oracle.counts import (
     _block_subgroup_generators,
     _embed_point,
@@ -28,24 +27,24 @@ from glstab.oracle.counts import (
     _space,
     conjugacy_class_count,
     double_cosets_gl,
-    enumerate_group,
     group_generators,
     weakstab_cosets,
     weakstab_map_surjective,
 )
 from glstab.oracle.fields import MAX_Q, field
-from glstab.oracle.orbits import NOT_A_POINT, orbit_count, orbit_partition
+from glstab.oracle.orbits import NOT_A_POINT, orbit_partition
 from glstab.verification import check_weak_stability
+import vic_reference as ref
 from vic_reference import VicMorphism, burnside_count, embed, vic_morphisms
 
 
 def bfs_closure(F, gens, n):
-    seen = {mx.identity(n)}
-    frontier = [mx.identity(n)]
+    seen = {ref.identity(n)}
+    frontier = [ref.identity(n)]
     while frontier:
         x = frontier.pop()
         for g in gens:
-            y = mx.mat_mul(F, g, x)
+            y = ref.mat_mul(F, g, x)
             if y not in seen:
                 seen.add(y)
                 frontier.append(y)
@@ -54,10 +53,10 @@ def bfs_closure(F, gens, n):
 
 def postcompose(F, h, v):
     """Action of an invertible matrix on a morphism by composition."""
-    f = mx.mat_mul(F, h, v.f)
+    f = ref.mat_mul(F, h, v.f)
     if v.K:
-        rows = tuple(zip(*mx.mat_mul(F, h, tuple(zip(*v.K)))))
-        rows, _ = mx.rref(F, rows)
+        rows = tuple(zip(*ref.mat_mul(F, h, tuple(zip(*v.K)))))
+        rows, _ = ref.rref(F, rows)
     else:
         rows = ()
     return VicMorphism(q=v.q, f=f, K=rows)
@@ -80,22 +79,33 @@ def decode_space(m, n, q):
     the map columns that a holds as base-q**n digits, column 0 highest."""
     numbers, complements = _space(m, n, q)
     S, w = (q**n - 1).bit_length(), len(complements)
-    keys = []
-    for x in numbers:
-        a, b = divmod(x, w)
-        cols = [a // q ** (n * (m - 1 - i)) % q**n for i in range(m)]
-        keys.append(sum(c << S * (n - 1 - i) for i, c in enumerate(cols)) | complements[b])
+
+    @cache
+    def columns(a):  # each map part is shared by many numbers; decode it once
+        return sum(a // q ** (n * (m - 1 - i)) % q**n << S * (n - 1 - i) for i in range(m))
+
+    keys = [columns(x // w) | complements[x % w] for x in numbers]
     assert max(numbers) < q ** (n * m) * w
     return keys, S
 
 
-def test_enumerate_group_counts():
-    assert sum(1 for _ in enumerate_group(1, 2)) == 1
-    assert sum(1 for _ in enumerate_group(2, 2)) == 6
-    assert sum(1 for _ in enumerate_group(2, 3)) == 48
-    assert sum(1 for _ in enumerate_group(3, 2)) == 168
+def numbered_orbit_count(points, actions):
+    """orbit_partition on a list of points numbered by their place in it, one part
+    each; an image off the list gets the one number that is no point."""
+    index = {p: i for i, p in enumerate(points)}
+    perms = [([index.get(act(p), len(points)) for p in points], [0]) for act in actions]
+    return len(orbit_partition(range(len(points)), len(points) + 1, perms)[0])
+
+
+def test_gl_n_is_the_square_morphism_space():
+    """At m = n the morphism space is GL_n: its points are the invertible
+    matrices of the rank scan, one each."""
+    for n, q in [(1, 2), (1, 5), (2, 2), (2, 3), (2, 4), (3, 2)]:
+        points, S = decode_space(n, n, q)
+        assert len(points) == gl_order(n, q)
+        assert set(points) == {pack_vic(VicMorphism(q, g, ()), S) for g in ref.gl_matrices(n, q)}
     with pytest.raises(GuardExceeded):
-        list(enumerate_group(4, 5))
+        _space(4, 4, 5)
 
 
 @pytest.mark.parametrize("n,q", [(2, 2), (2, 3), (3, 2), (2, 4), (1, 5)])
@@ -116,8 +126,8 @@ def test_vic_morphisms_are_distinct_and_valid():
         pts = vic_morphisms(m, n, q)
         assert len(set(pts)) == vic_hom_count(m, n, q)
         for v in random.Random(0).sample(pts, 20):
-            assert mx.rank(F, v.f) == m
-            assert mx.rank(F, v.K + tuple(zip(*v.f))) == n
+            assert ref.rank(F, v.f) == m
+            assert ref.rank(F, v.K + tuple(zip(*v.f))) == n
 
 
 def test_packed_space_agrees_with_object_enumeration():
@@ -169,7 +179,6 @@ def test_space_build_does_no_row_reduction(monkeypatch):
         raise AssertionError("row reduction in the space build")
 
     monkeypatch.setattr(counts, "_rref_packed", forbidden)
-    monkeypatch.setattr(mx, "rref", forbidden)
     for args in cases:
         assert _space(*args) == expected[args], args
 
@@ -197,11 +206,11 @@ def packed_rows(draw):
 @example(([5, 5, 0], 3, 2))
 @example(([1, 3, 4], 2, 4))
 def test_rref_packed_is_the_digit_rref(rows_n_q):
-    """_rref_packed on packed rows is mx.rref on their digits, packed again."""
+    """_rref_packed on packed rows is the reference rref on their digits, packed again."""
     rows, n, q = rows_n_q
     F = field(q)
     digits = tuple(tuple(v // q**i % q for i in range(n)) for v in rows)
-    red, _ = mx.rref(F, digits)
+    red, _ = ref.rref(F, digits)
     assert _rref_packed(rows, q, F) == tuple(sum(d * q**i for i, d in enumerate(r)) for r in red)
 
 
@@ -279,7 +288,7 @@ def test_numbered_orbits_are_the_object_orbits(m, n, q, ell):
         frozenset(pack_vic(v, S) for v in orbit) for orbit in expected
     }
     assert sorted(numbered) == list(range(len(reps))) == [label(point(r)) for r in reps]
-    assert len(reps) == orbit_count(points, actions) == len(expected)
+    assert len(reps) == numbered_orbit_count(points, actions) == len(expected)
 
 
 def test_part_image_outside_the_parts_is_refused(monkeypatch):
@@ -328,17 +337,17 @@ def test_packed_embedding_equals_object_embedding(m, n, q):
 
 def test_embed_matches_standard_inclusion():
     """embed composes with the inclusion F^3 -> F^4, whose complement is the last axis."""
-    incl = tuple(row[:3] for row in mx.identity(4))
+    incl = tuple(row[:3] for row in ref.identity(4))
     for q in (2, 3):
         F = field(q)
         for v in random.Random(1).sample(vic_morphisms(1, 3, q), 10):
-            pushed = tuple(zip(*mx.mat_mul(F, incl, tuple(zip(*v.K)))))
-            K, _ = mx.rref(F, pushed + ((0, 0, 0, 1),))
-            assert embed(v) == VicMorphism(q=q, f=mx.mat_mul(F, incl, v.f), K=K), v
+            pushed = tuple(zip(*ref.mat_mul(F, incl, tuple(zip(*v.K)))))
+            K, _ = ref.rref(F, pushed + ((0, 0, 0, 1),))
+            assert embed(v) == VicMorphism(q=q, f=ref.mat_mul(F, incl, v.f), K=K), v
 
 
 def test_orbit_count_trivial_group():
-    assert orbit_count(list(range(10)), []) == 10
+    assert numbered_orbit_count(list(range(10)), []) == 10
 
 
 def test_orbit_count_transitive():
@@ -346,15 +355,15 @@ def test_orbit_count_transitive():
     F = field(2)
     points = [(0, 1), (1, 0), (1, 1)]
     actions = [
-        lambda v, g=g: tuple(r[0] for r in mx.mat_mul(F, g, tuple((x,) for x in v)))
+        lambda v, g=g: tuple(r[0] for r in ref.mat_mul(F, g, tuple((x,) for x in v)))
         for g in group_generators(2, 2)
     ]
-    assert orbit_count(points, actions) == 1
+    assert numbered_orbit_count(points, actions) == 1
 
 
 def test_orbit_count_raises_when_not_closed():
-    with pytest.raises(InvariantViolated):
-        orbit_count([1, 2, 3], [lambda x: x + 1])
+    with pytest.raises(InvariantViolated, match="image 3 of a point is not a point"):
+        numbered_orbit_count([1, 2, 3], [lambda x: x + 1])
 
 
 def test_orbit_partition_labels_every_point_by_its_orbit():
@@ -403,12 +412,12 @@ def test_bfs_equals_burnside_on_coset_space():
         points = vic_morphisms(m, n, q)
         r = n - m
         subgroup = []
-        for g in enumerate_group(r, q) if r else [()]:
+        for g in ref.gl_matrices(r, q):
             rows = tuple(
                 tuple(1 if j == i else 0 for j in range(n)) for i in range(m)
             ) + tuple((0,) * m + g[i] for i in range(r))
             subgroup.append(rows)
-        bfs = orbit_count(points, [lambda v, h=h: postcompose(F, h, v) for h in subgroup])
+        bfs = numbered_orbit_count(points, [lambda v, h=h: postcompose(F, h, v) for h in subgroup])
         burnside = burnside_count(points, [lambda v, h=h: postcompose(F, h, v) for h in subgroup])
         assert bfs == burnside == double_cosets_gl(n, m, q)
 
@@ -420,9 +429,9 @@ def test_orbit_count_independent_of_generating_set():
     a = ((1, 0, 0), (0, 0, 1), (0, 1, 0))
     b = ((1, 0, 0), (0, 1, 1), (0, 0, 1))
     gens1 = [a, b]
-    gens2 = [mx.mat_mul(F, a, b), b]  # different set, same group
-    count1 = orbit_count(points, [lambda v, h=h: postcompose(F, h, v) for h in gens1])
-    count2 = orbit_count(points, [lambda v, h=h: postcompose(F, h, v) for h in gens2])
+    gens2 = [ref.mat_mul(F, a, b), b]  # different set, same group
+    count1 = numbered_orbit_count(points, [lambda v, h=h: postcompose(F, h, v) for h in gens1])
+    count2 = numbered_orbit_count(points, [lambda v, h=h: postcompose(F, h, v) for h in gens2])
     assert count1 == count2 == 7
 
 
@@ -477,8 +486,10 @@ def test_weak_stability_builds_each_orbit_table_once(monkeypatch):
 
 
 def test_conjugacy_class_counts():
-    assert conjugacy_class_count(2, 2) == 3
-    assert conjugacy_class_count(2, 3) == 8
-    assert conjugacy_class_count(3, 2) == 6
+    """GL_n(q) has q - 1, q**2 - 1, q**3 - q and q**4 - q classes for n = 1 .. 4
+    (Macdonald), at every (n, q) the class guard admits but (3, 4)."""
+    cases = [(n, q) for n in (1, 2) for q in (2, 3, 4, 5, 7, 8, 9)] + [(3, 2), (3, 3), (4, 2)]
+    for n, q in cases:
+        assert conjugacy_class_count(n, q) == [q - 1, q**2 - 1, q**3 - q, q**4 - q][n - 1], (n, q)
     with pytest.raises(GuardExceeded):
         conjugacy_class_count(4, 4)

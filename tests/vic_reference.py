@@ -1,8 +1,10 @@
-"""Test references for the oracle: the morphism space as objects, and Burnside
-orbit counting.  A morphism is a pair (f, K): f an n x m matrix of full column
-rank, K the reduced-echelon basis of a complement of its column space.  The
-enumeration is independent of the library's packed build (`counts._space`, no
-row reduction): it picks the columns, then reduces each complement of their span.
+"""Test references for the oracle: dense matrices, GL_n by a rank scan, the
+morphism space as objects, and Burnside orbit counting.  A matrix is a tuple of
+row tuples of field elements.  A morphism is a pair (f, K): f an n x m matrix of
+full column rank, K the reduced-echelon basis of a complement of its column
+space.  The enumeration is independent of the library's packed build
+(`counts._space`, no row reduction): it picks the columns, then reduces each
+complement of their span.
 """
 
 from itertools import product
@@ -11,7 +13,54 @@ from typing import NamedTuple
 from glstab.errors import InvariantViolated
 from glstab.oracle.counts import space_size
 from glstab.oracle.fields import field
-from glstab.oracle.matrices import rref
+
+
+def identity(n):
+    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
+
+
+def mat_mul(F, a, b):
+    def dot(row, col):
+        acc = 0
+        for x, y in zip(row, col):
+            acc = F.add[acc][F.mul[x][y]]
+        return acc
+
+    return tuple(tuple(dot(row, col) for col in zip(*b)) for row in a)
+
+
+def rref(F, mat):
+    """Reduced row-echelon form; returns (nonzero rows, pivot columns)."""
+    rows = [list(r) for r in mat]
+    ncols = len(mat[0]) if mat else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        inv = F.inv[rows[r][c]]
+        rows[r] = [F.mul[inv][x] for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [F.sub(x, F.mul[f][y]) for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+    return tuple(tuple(row) for row in rows[:r]), tuple(pivots)
+
+
+def rank(F, mat) -> int:
+    return len(rref(F, mat)[0])
+
+
+def gl_matrices(n, q) -> list:
+    """Every invertible n x n matrix over F_q, by a rank scan of all q**(n*n)."""
+    F = field(q)
+    mats = (tuple(flat[i * n : (i + 1) * n] for i in range(n))
+            for flat in product(range(q), repeat=n * n))
+    return [mat for mat in mats if rank(F, mat) == n]
 
 
 class VicMorphism(NamedTuple):
