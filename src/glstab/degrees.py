@@ -17,7 +17,6 @@ from math import prod
 
 from . import partitions as pt
 from .errors import BadParameters, GuardExceeded, InvariantViolated
-from .labels import Shape, enumerate_labels
 
 
 # Miller-Rabin bases: the least strong pseudoprime to all twelve is about
@@ -89,8 +88,8 @@ def cuspidal_count(d, q) -> int:
     return count
 
 
-def degree_poly(shape: Shape, q) -> int:
-    """Green degree at q of the irreducible with the given full label (Green,
+def degree_poly(shape, q) -> int:
+    """Green degree at q of the irreducible whose full label has this `Shape` (Green,
     Trans. AMS 1955; Macdonald, Symmetric Functions and Hall Polynomials, Ch. IV):
 
         q^shift * prod_{i=1..norm} (q^i - 1) / prod_{e in hook_exps} (q^e - 1),
@@ -117,17 +116,6 @@ def degree_poly(shape: Shape, q) -> int:
             f" norm={shape.norm()}, hook exponents={hook_exps}"
         )
     return deg
-
-
-def sum_degree_squares_check(n, q) -> bool:
-    """Census identity: sum of class_size * degree^2 over all labels = |G_n|."""
-    if n > 5 or q > 5:
-        raise GuardExceeded("degree census guard exceeded", n=n, q=q)
-    total = 0
-    for shape, cls in enumerate_labels(n, q):
-        deg = degree_poly(shape, q)
-        total += cls * deg * deg
-    return total == gl_order(n, q)
 
 
 def vic_hom_count(m, n, q) -> int:

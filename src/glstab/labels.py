@@ -16,6 +16,7 @@ from functools import lru_cache
 from math import factorial, perm, prod
 
 from . import partitions as pt
+from .degrees import cuspidal_count
 from .errors import BadParameters, GuardExceeded, InvariantViolated
 
 IOTA = ("iota", 1, 0)
@@ -227,8 +228,6 @@ def label_of_shape(shape: Shape) -> Label:
 @lru_cache(maxsize=None)
 def pool_size(d, q) -> int:
     """Cuspidals of degree d at field size q that a non-iota key may take."""
-    from .degrees import cuspidal_count  # late import to avoid a cycle
-
     return cuspidal_count(d, q) - (d == 1)
 
 

@@ -2,11 +2,12 @@
 
 The orbit spaces are the morphism spaces: pairs of an injection F_q^m -> F_q^n
 and a complement of its image, the points of k[G_n/G_{n-m}].  `_space` is their
-one enumeration, packed: a vector in F_q^n is the integer with its coordinates
-as base-q digits, a point is the fixed-width concatenation of the m map columns
-and the n-m reduced-echelon complement rows, and each group generator acts
-through a precomputed full matrix-times-vector table.  Every q takes the same
-path: packed vectors are added, scaled and reduced through the field tables.
+one enumeration.  A vector in F_q^n is packed, the integer with its coordinates
+as base-q digits; a complement is the key of its n-m reduced-echelon rows in
+fixed-width slots; a point is a number.  Each group generator is its n packed
+columns and acts through a precomputed full matrix-times-vector table.  Every
+q takes the same path: packed vectors are added, scaled and reduced through the
+field tables.
 
 The space build does no row reduction: it lists each complement once,
 directly in reduced echelon form (one Schubert cell per pivot set), and
@@ -16,7 +17,8 @@ its complement among the w complements, a its m map columns as base-q**n
 digits.  A generator is the matvec table folded over the m columns and the rank
 of each complement's reduced image.  No table outlives its call, and
 `weakstab_sequence`, the one caller that compares two sizes, holds only the
-previous size's representatives.
+previous size's representatives and complements; it embeds a number by
+re-reading its columns in base q**(n+1) and growing its complement by e_n.
 
 At m = n the space is GL_n itself, with one (empty) complement, so a number is
 a matrix's n columns as base-q**n digits; `conjugacy_class_count` conjugates
@@ -27,7 +29,7 @@ from __future__ import annotations
 
 from itertools import combinations, count, product
 
-from ..degrees import gl_order, vic_hom_count
+from ..degrees import gl_order, prime_power, vic_hom_count
 from ..errors import BadParameters, GuardExceeded, InvariantViolated
 from .fields import field
 from .orbits import orbit_partition
@@ -40,37 +42,11 @@ VECTOR_GUARD = 2**12
 CLASS_GUARD = 2**18
 
 
-def group_generators(n, q):
-    """Standard generating set: diag(zeta, 1, ...), one transvection, one cycle."""
-    if n < 1:
-        raise BadParameters("n must be >= 1")
-    F = field(q)
-    zeta = F.primitive_element()
-    gens = []
-    if zeta != 1:
-        gens.append(
-            tuple(
-                tuple((zeta if i == 0 else 1) if i == j else 0 for j in range(n))
-                for i in range(n)
-            )
-        )
-    if n >= 2:
-        gens.append(
-            tuple(
-                tuple(1 if i == j or (i, j) == (0, 1) else 0 for j in range(n))
-                for i in range(n)
-            )
-        )
-        gens.append(
-            tuple(tuple(1 if j == (i - 1) % n else 0 for j in range(n)) for i in range(n))
-        )
-    return gens
-
-
 def space_size(m, n, q) -> int:
     """vic_hom_count(m, n, q), refused past VIC_SPACE_GUARD.  The count is at least
     q**(m*(2n-m-1)) >= 2**bits (q**n - q**i >= q**(n-1)); past 2**16 bits no count
     prints in decimal, so refuse on that bound, not an m*n*log2(q)-bit product."""
+    prime_power(q)  # refuses a q that is no prime power before q.bit_length() is read
     bits = m * (2 * n - m - 1) * (q.bit_length() - 1)
     if bits > 2**16:
         raise GuardExceeded("morphism space exceeds guard", m=m, n=n, q=q, count=f">= 2**{bits}")
@@ -96,10 +72,6 @@ def _axpy(a, c, b, q, F):
     return out
 
 
-def _pack(digits, q):
-    return sum(d * q**i for i, d in enumerate(digits))
-
-
 def _rref_packed(rows, q, F):
     """Reduced echelon form of packed row vectors, sorted by pivot column: a row's
     pivot is its lowest nonzero digit, scaled to 1 and cleared from the other rows."""
@@ -120,15 +92,29 @@ def _rref_packed(rows, q, F):
     return tuple(piv[p] for p in sorted(piv))
 
 
-def _matvec_table(h_rows, n, q, F):
-    """Image of every packed vector under the matrix, as a flat list."""
-    packed_cols = [_pack(col, q) for col in zip(*h_rows)]
+def _generators(n, q, ell):
+    """Generators of diag(1_ell, GL_{n-ell}), each as its n packed columns:
+    diag(zeta, 1, ...), one transvection and one cycle on the last n - ell
+    coordinates; none when ell = n."""
+    k = n - ell
+    if k < 1:
+        return []
+    zeta = field(q).primitive_element()
+    gens = [[zeta] + [q**j for j in range(1, k)]] if zeta != 1 else []
+    if k >= 2:
+        gens.append([1, q + 1] + [q**j for j in range(2, k)])
+        gens.append([q ** ((j + 1) % k) for j in range(k)])
+    return [[q**i for i in range(ell)] + [c * q**ell for c in g] for g in gens]
+
+
+def _matvec_table(cols, n, q, F):
+    """Image of every packed vector under the matrix of packed columns `cols`."""
     table = [0] * (q**n)
     stride = 1
-    for i in range(n):
+    for col in cols:
         for d in range(1, q):
             for rest in range(stride):
-                table[d * stride + rest] = _axpy(table[rest], d, packed_cols[i], q, F)
+                table[d * stride + rest] = _axpy(table[rest], d, col, q, F)
         stride *= q
     return table
 
@@ -197,20 +183,6 @@ def _space(m, n, q):
     return points, complements
 
 
-def _block_subgroup_generators(ell, q, n):
-    """Generators of the subgroup fixing the first ell coordinates: diag(1, g)."""
-    gens = []
-    for g in group_generators(n - ell, q) if n > ell else []:
-        rows = []
-        for i in range(n):
-            if i < ell:
-                rows.append(tuple(1 if j == i else 0 for j in range(n)))
-            else:
-                rows.append((0,) * ell + g[i - ell])
-        gens.append(tuple(rows))
-    return gens
-
-
 def _part_image(table, part, rows, S, q, F):
     """A complement's image: its `rows` S-bit rows, highest first, each sent
     through the matvec table, row-reduced and packed again."""
@@ -231,37 +203,23 @@ def _ranks(images, rank):
 
 def _orbit_data(m, n, q, ell):
     """Orbits of the block subgroup diag(1_ell, GL_{n-ell}) on the morphism space:
-    the representatives as numbers, the orbit index of a packed point, the packed
-    point of a number, and S."""
+    the representatives as numbers, the orbit label of every number below
+    q**(n*m) * w (NOT_A_POINT where no point is), and the w complements."""
     numbers, lows = _space(m, n, q)
     F = field(q)
     Q, w, S = q**n, len(lows), (q**n - 1).bit_length()
-    k_mask, mask = (1 << S * (n - m)) - 1, (1 << S) - 1
     low_rank = {x: i for i, x in enumerate(lows)}
     actions = []
-    for h in _block_subgroup_generators(ell, q, n):
-        table = _matvec_table(h, n, q, F)
+    for cols in _generators(n, q, ell):
+        table = _matvec_table(cols, n, q, F)
         outer = [0]  # a map's image, its columns as base-Q digits
         for _ in range(m):
             outer = [x * Q + t for x in outer for t in table]
         inner = [_part_image(table, x, n - m, S, q, F) for x in lows]
         actions.append(([x * w for x in outer], _ranks(inner, low_rank)))
-    size = Q**m * w
     numbers = iter(numbers)  # the list goes once the search has marked the points
-    reps, labels = orbit_partition(numbers, size, actions)
-
-    def point(x):  # column m - 1 - j is a's base-Q digit j, at bits S * (n - m + j)
-        a, b = divmod(x, w)
-        return lows[b] | sum(a // Q ** (i - n + m) % Q << S * i for i in range(n - m, n))
-
-    def label(key):
-        x = w * sum((key >> S * i & mask) * Q ** (i - n + m) for i in range(n - m, n))
-        x += low_rank.get(key & k_mask, size)
-        if x >= size or labels[x] < 0 or point(x) != key:
-            raise InvariantViolated(f"{key} is not a point of ({m},{n},{q})")
-        return labels[x]
-
-    return reps, label, point, S
+    reps, labels = orbit_partition(numbers, Q**m * w, actions)
+    return reps, labels, lows
 
 
 def double_cosets_gl(n, m, q) -> int:
@@ -283,33 +241,42 @@ def weakstab_cosets(ell, m, r, q) -> int:
     return len(_orbit_data(m, n, q, ell)[0])
 
 
-def _embed_point(key, m, n, q, S_old, S_new):
-    """Push a packed point forward along F_q^n -> F_q^{n+1}."""
-    mask = (1 << S_old) - 1
-    vals = []
-    k = key
-    for _ in range(n):  # m columns + (n - m) rows
-        vals.append(k & mask)
-        k >>= S_old
-    vals.reverse()
-    vals.append(q**n)  # new complement row e_{n+1}, pivot after all others
-    out = 0
-    for v in vals:
-        out = (out << S_new) | v
-    return out
+def _grown(complements, n, q):
+    """Each complement key of F_q^(n-1) pushed into F_q^n: its rows moved into the
+    wider slots of size n, then the new axis e_(n-1), its pivot after all others."""
+    S0, S = (q ** (n - 1) - 1).bit_length(), (q**n - 1).bit_length()
+    mask = (1 << S0) - 1
+    return [q ** (n - 1) | sum((key >> S0 * i & mask) << S * (i + 1) for i in range(n - 1))
+            for key in complements]
+
+
+def _embed(numbers, old, new, m, n, q):
+    """Push numbers of the space from F_q^m to F_q^(n-1), whose complements are
+    `old`, forward along g -> diag(g, 1) into the one to F_q^n, complements `new`:
+    a*w + b keeps its m columns, as base-q**n digits now, and b becomes the rank
+    of complement b grown by e_(n-1); a grown key that is no complement is refused."""
+    Q0, Q, w0, w = q ** (n - 1), q**n, len(old), len(new)
+    grown = _ranks(_grown(old, n, q), {x: i for i, x in enumerate(new)})
+    for x in numbers:
+        a, b = divmod(x, w0)
+        yield w * sum(a // Q0**i % Q0 * Q**i for i in range(m)) + grown[b]
 
 
 def weakstab_sequence(ell, m, r, q):
     """Yield (classes, onto) at r, r + 1, ...: the orbits of diag(1_ell, G_r) on the
     morphisms from F_q^m to F_q^{ell+r}, and whether the classes one size down,
     embedded via g -> diag(g, 1), reach every class here (None at the first r).
-    No table outlives its step: only the previous size's representatives are kept."""
-    prev = S0 = onto = None
+    No table outlives its step: only the previous size's representatives and
+    complements are kept."""
+    prev = onto = None
     for n in count(ell + r):
-        reps, label, point, S = _orbit_data(m, n, q, ell)
+        reps, labels, lows = _orbit_data(m, n, q, ell)
         if prev is not None:
-            onto = len({label(_embed_point(p, m, n - 1, q, S0, S)) for p in prev}) == len(reps)
-        prev, S0, label = map(point, reps), S, None  # drop the orbit table; decode reps lazily
+            hit = {labels[y] for y in _embed(*prev, lows, m, n, q)}
+            if min(hit) < 0:
+                raise InvariantViolated(f"a class embeds as no point of ({m},{n},{q})")
+            onto = len(hit) == len(reps)
+        prev, labels = (reps, lows), None  # drop the orbit table
         yield len(reps), onto
 
 
@@ -330,6 +297,7 @@ def conjugacy_class_count(n, q) -> int:
     by BFS over generator conjugations."""
     if n < 1:
         raise BadParameters("n must be >= 1")
+    prime_power(q)  # refuses a q that is no prime power before q.bit_length() is read
     # |GL_n(q)| >= q**(n*(n-1)) >= 2**bits (q**i - 1 >= q**(i-1)); past 2**16 bits no
     # order prints in decimal, so refuse on the bound, not an n*n*log2(q)-bit product
     bits = n * (n - 1) * (q.bit_length() - 1)
@@ -343,7 +311,7 @@ def conjugacy_class_count(n, q) -> int:
     # one complement (w = 1): each number is the n columns as base-Q digits, column 0 highest
     elements = _space(n, n, q)[0]
     actions = []
-    for g in group_generators(n, q):
+    for g in _generators(n, q, 0):
         table = _matvec_table(g, n, q, F)
         preimages = [table.index(q**j) for j in range(n)]  # g^-1 e_j: g permutes F_q^n
         # each as its nonzero (coordinate, digit) pairs

@@ -18,7 +18,6 @@ from .degrees import (
     gl_order,
     p_polynomial,
     poly_value,
-    sum_degree_squares_check,
     vic_hom_count,
 )
 from .errors import GuardExceeded
@@ -73,6 +72,17 @@ def check_census(quick=False):
             f"sum_sq=168:{sum_ok} oracle_classes:{oracle_ok}",
         )
     ]
+
+
+def sum_degree_squares_check(n, q) -> bool:
+    """Census identity: sum of class_size * degree^2 over all labels = |G_n|."""
+    if n > 5 or q > 5:
+        raise GuardExceeded("degree census guard exceeded", n=n, q=q)
+    total = 0
+    for shape, cls in enumerate_labels(n, q):
+        deg = degree_poly(shape, q)
+        total += cls * deg * deg
+    return total == gl_order(n, q)
 
 
 def check_degree_census(quick=False):

@@ -288,7 +288,7 @@ def test_bad_embedding_exits_1(monkeypatch):
     violation, reported as JSON, not a KeyError traceback."""
     import glstab.oracle.counts as counts
 
-    monkeypatch.setattr(counts, "_embed_point", lambda *args: -1)
+    monkeypatch.setattr(counts, "_grown", lambda complements, n, q: [-1] * len(complements))
     err = io.StringIO()
     with redirect_stderr(err):
         code, out = run_cli(["verify", "--suite", "weakstab"])

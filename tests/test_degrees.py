@@ -13,11 +13,11 @@ from glstab.degrees import (
     p_polynomial,
     poly_value,
     prime_power,
-    sum_degree_squares_check,
     vic_hom_count,
 )
 from glstab.errors import BadParameters, GuardExceeded, InvariantViolated
 from glstab.labels import enumerate_shapes, make_shape
+from glstab.verification import sum_degree_squares_check
 
 def test_prime_power():
     assert prime_power(8) == (2, 3)

@@ -3,6 +3,7 @@
 import pytest
 
 from glstab.errors import BadParameters
+from glstab.oracle.counts import conjugacy_class_count, double_cosets_gl, weakstab_cosets
 from glstab.oracle.fields import MAX_Q, field
 
 SUPPORTED = (2, 3, 4, 5, 7, 8, 9)
@@ -68,3 +69,8 @@ def test_unsupported_sizes_rejected():
         with pytest.raises(BadParameters):
             field.__wrapped__(q)
     assert MAX_Q == 9
+    # the oracle's guards refuse a non-integer q before they read its bit length
+    for call in (lambda: conjugacy_class_count(2, 2.0), lambda: double_cosets_gl(3, 1, 2.0),
+                 lambda: weakstab_cosets(1, 1, 1, 2.0)):
+        with pytest.raises(BadParameters, match="q must be an integer"):
+            call()

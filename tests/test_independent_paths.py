@@ -85,6 +85,7 @@ def test_oracle_imports_only_the_shared_core():
 def test_independent_paths_never_reach_the_dp():
     for start in ("glstab.concrete", "glstab.oracle"):
         assert reachable(start) & DP_MODULES == set(), start
+    assert "glstab.labels" not in reachable("glstab.oracle")
 
 
 def test_lint_resolves_relative_imports():

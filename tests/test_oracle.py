@@ -18,8 +18,8 @@ import glstab.oracle.counts as counts
 from glstab.degrees import gl_order, vic_hom_count
 from glstab.errors import GuardExceeded, InvariantViolated
 from glstab.oracle.counts import (
-    _block_subgroup_generators,
-    _embed_point,
+    _embed,
+    _generators,
     _matvec_table,
     _orbit_data,
     _part_image,
@@ -27,7 +27,6 @@ from glstab.oracle.counts import (
     _space,
     conjugacy_class_count,
     double_cosets_gl,
-    group_generators,
     weakstab_cosets,
     weakstab_map_surjective,
 )
@@ -74,6 +73,11 @@ def pack_vic(v, S):
     return key
 
 
+def unpack(cols, q):
+    """The reference matrix, a tuple of rows, whose columns are the packed `cols`."""
+    return tuple(tuple(c // q**i % q for c in cols) for i in range(len(cols)))
+
+
 def decode_space(m, n, q):
     """_space's points as packed keys: number a*w + b is complement b's rows under
     the map columns that a holds as base-q**n digits, column 0 highest."""
@@ -110,8 +114,14 @@ def test_gl_n_is_the_square_morphism_space():
 
 @pytest.mark.parametrize("n,q", [(2, 2), (2, 3), (3, 2), (2, 4), (1, 5)])
 def test_generators_generate_the_whole_group(n, q):
-    closure = bfs_closure(field(q), group_generators(n, q), n)
-    assert len(closure) == gl_order(n, q)
+    """The packed generators of diag(1_ell, GL_{n-ell}) generate that block
+    subgroup: GL_n itself at ell = 0, the identity alone at ell = n."""
+    for ell in range(n + 1):
+        closure = bfs_closure(field(q), [unpack(g, q) for g in _generators(n, q, ell)], n)
+        assert len(closure) == gl_order(n - ell, q), ell
+        one = ref.identity(n)  # each element fixes the first ell rows and columns
+        assert all(x[i][j] == one[i][j] for x in closure for i in range(n) for j in range(n)
+                   if min(i, j) < ell), ell
 
 
 def test_vic_morphism_counts():
@@ -248,8 +258,8 @@ def test_packed_action_equals_object_action(m, n, q, ell):
     S = (q**n - 1).bit_length()
     k_bits = S * (n - m)
     points = vic_morphisms(m, n, q)
-    for h in _block_subgroup_generators(ell, q, n):
-        table = _matvec_table(h, n, q, F)
+    for cols in _generators(n, q, ell):
+        table, h = _matvec_table(cols, n, q, F), unpack(cols, q)
         for v in points:
             key = pack_vic(v, S)
             high = sum(table[key >> S * i & (1 << S) - 1] << S * i for i in range(n - m, n))
@@ -273,21 +283,26 @@ def object_orbits(points, actions):
 
 @pytest.mark.parametrize("m,n,q,ell", ORBIT_CASES)
 def test_numbered_orbits_are_the_object_orbits(m, n, q, ell):
-    """_orbit_data's partition of the packed points, read back through its label
-    lookup, is the partition of the morphisms under composition."""
+    """_orbit_data's labels, read at each point's number, partition the packed
+    points as composition partitions the morphisms; every other number is no point."""
     F = field(q)
     points = vic_morphisms(m, n, q)
-    images = [{v: postcompose(F, h, v) for v in points} for h in _block_subgroup_generators(ell, q, n)]
+    gens = [unpack(cols, q) for cols in _generators(n, q, ell)]
+    images = [{v: postcompose(F, h, v) for v in points} for h in gens]
     actions = [image.__getitem__ for image in images]
-    reps, label, point, S = _orbit_data(m, n, q, ell)
+    reps, labels, complements = _orbit_data(m, n, q, ell)
+    numbers, lows = _space(m, n, q)
+    keys, S = decode_space(m, n, q)
+    assert complements == lows
+    assert sorted(x for x, label in enumerate(labels) if label != NOT_A_POINT) == sorted(numbers)
     numbered = {}
-    for v in points:
-        numbered.setdefault(label(pack_vic(v, S)), set()).add(pack_vic(v, S))
+    for x, key in zip(numbers, keys):
+        numbered.setdefault(labels[x], set()).add(key)
     expected = object_orbits(points, actions)
     assert {frozenset(o) for o in numbered.values()} == {
         frozenset(pack_vic(v, S) for v in orbit) for orbit in expected
     }
-    assert sorted(numbered) == list(range(len(reps))) == [label(point(r)) for r in reps]
+    assert sorted(numbered) == list(range(len(reps))) == [labels[r] for r in reps]
     assert len(reps) == numbered_orbit_count(points, actions) == len(expected)
 
 
@@ -317,8 +332,14 @@ def test_known_parts_that_are_no_point_are_refused(monkeypatch):
 
 
 def test_bad_embedding_is_refused(monkeypatch):
-    monkeypatch.setattr(counts, "_embed_point", lambda *args: -1)
-    with pytest.raises(InvariantViolated, match="-1 is not a point of"):
+    """A grown key that is no complement of the next size is refused, and so is
+    an embedded number that is no point."""
+    monkeypatch.setattr(counts, "_grown", lambda complements, n, q: [-1] * len(complements))
+    with pytest.raises(InvariantViolated, match="part image -1 is not a part of a point"):
+        weakstab_map_surjective(2, 1, 4, 2)
+    # the first complement listed at size n is F_q^(n-1), which holds every embedded column
+    monkeypatch.setattr(counts, "_grown", lambda keys, n, q: _space(1, n, q)[1][:1] * len(keys))
+    with pytest.raises(InvariantViolated, match=r"a class embeds as no point of \(1,7,2\)"):
         weakstab_map_surjective(2, 1, 4, 2)
 
 
@@ -328,11 +349,16 @@ def test_bad_embedding_is_refused(monkeypatch):
      (1, 2, 3), (1, 3, 3), (2, 3, 3), (1, 2, 4), (1, 2, 9)],
 )
 def test_packed_embedding_equals_object_embedding(m, n, q):
-    """The packed push-forward of weakstab_map_surjective is vic.embed on every point."""
-    S_old, S_new = (q**n - 1).bit_length(), (q ** (n + 1) - 1).bit_length()
-    for v in vic_morphisms(m, n, q):
-        packed = _embed_point(pack_vic(v, S_old), m, n, q, S_old, S_new)
-        assert packed == pack_vic(embed(v), S_new), v
+    """The number embedding of weakstab_map_surjective is vic.embed on every point."""
+    numbers, old = _space(m, n, q)
+    new_numbers, new = _space(m, n + 1, q)
+    keys, S_old = decode_space(m, n, q)
+    new_keys, S_new = decode_space(m, n + 1, q)
+    morphism = {pack_vic(v, S_old): v for v in vic_morphisms(m, n, q)}
+    assert sorted(morphism) == sorted(keys)
+    key_of = dict(zip(new_numbers, new_keys))
+    for key, y in zip(keys, _embed(numbers, old, new, m, n + 1, q), strict=True):
+        assert key_of[y] == pack_vic(embed(morphism[key]), S_new), morphism[key]
 
 
 def test_embed_matches_standard_inclusion():
@@ -355,8 +381,8 @@ def test_orbit_count_transitive():
     F = field(2)
     points = [(0, 1), (1, 0), (1, 1)]
     actions = [
-        lambda v, g=g: tuple(r[0] for r in ref.mat_mul(F, g, tuple((x,) for x in v)))
-        for g in group_generators(2, 2)
+        lambda v, g=unpack(cols, 2): tuple(r[0] for r in ref.mat_mul(F, g, tuple((x,) for x in v)))
+        for cols in _generators(2, 2, 0)
     ]
     assert numbered_orbit_count(points, actions) == 1
 
@@ -453,7 +479,26 @@ def test_weakstab_surjectivity_threshold():
     assert weakstab_map_surjective(1, 1, 2, 2)
     assert weakstab_map_surjective(1, 1, 3, 2)
     # below the threshold s = 2 the answer is computed all the same
-    assert isinstance(weakstab_map_surjective(1, 1, 1, 2), bool)
+    assert weakstab_map_surjective(1, 1, 1, 2) is False
+
+
+@pytest.mark.parametrize(
+    "ell,m,r,q,onto",
+    [(1, 1, 1, 2, False), (1, 1, 2, 2, True), (2, 1, 1, 2, False), (1, 1, 1, 3, False)],
+)
+def test_onto_flag_is_the_object_flag(ell, m, r, q, onto):
+    """The onto flag, at both values, is the object one: whether the embedded
+    morphisms of size n meet every orbit at size n + 1 of diag(1_ell, GL_{r+1}),
+    each orbit found by applying every element of the block subgroup."""
+    n, F = ell + r, field(q)
+    one = ref.identity(ell)
+    block = [tuple(row + (0,) * (r + 1) for row in one) + tuple((0,) * ell + row for row in g)
+             for g in ref.gl_matrices(r + 1, q)]
+    orbit = cache(lambda v: frozenset(postcompose(F, h, v) for h in block))
+    orbits = {orbit(v) for v in vic_morphisms(m, n + 1, q)}
+    reached = {orbit(embed(v)) for v in vic_morphisms(m, n, q)}
+    assert (len(reached) == len(orbits)) is onto
+    assert weakstab_map_surjective(ell, m, r, q) is onto
 
 
 def test_oracle_keeps_no_table_between_calls():
