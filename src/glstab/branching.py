@@ -36,10 +36,10 @@ up-move takes each state left to it in exactly one way.
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
-from dataclasses import dataclass
+from collections import defaultdict
 from functools import lru_cache
 from itertools import product, zip_longest
+from typing import NamedTuple
 
 from . import partitions as pt
 from .degrees import degree_poly, prime_power, vic_hom_count
@@ -57,6 +57,7 @@ from .labels import (
     named_key,
     pool_size,
     shape_to_json,
+    tally,
     trivial_label,
     trusted_label,
     weighted_multisets,
@@ -92,7 +93,7 @@ class _Ctx:
     def __init__(self, q, named_context, tables=None):
         self.q = q
         self.named_context = named_context
-        self.named_by_degree = Counter(key_degree(k) for k in self.named_context)
+        self.named_by_degree = tally(map(key_degree, self.named_context))
         for d, used in self.named_by_degree.items():
             if used > pool_size(d, q):
                 raise BadParameters(
@@ -133,12 +134,13 @@ class _Ctx:
         memo_key = (state, target_norm)
         if self._up_memo is not None and (hit := self._up_memo.get(memo_key)) is not None:
             return hit
-        active = [k for k, _ in state.entries if k[0] == "anon"]
-        used = tuple(sorted((self.named_by_degree + Counter(map(key_degree, active))).items()))
+        rows_of = dict(state.entries)
+        active = [k for k in rows_of if k[0] == "anon"]
+        used = tuple(sorted(tally(map(key_degree, active), self.named_by_degree).items()))
         # (items so far, budget left), folded over the keys that may grow
         partial = [((), target_norm - state.norm())]
         for key in [IOTA, *self.named_context, *active]:
-            d, rows = key_degree(key), state.get(key)
+            d, rows = key_degree(key), rows_of.get(key, ())
             base = sum(rows)
             partial = [
                 (items + ((key, new_rows),) if new_rows else items, left - d * b)
@@ -239,16 +241,14 @@ def count_zigzag(nu: Label, mu: Label, m: int, q: int) -> int:
     return zigzag_distribution(_pin_anonymous(nu), m, q, target).get(target, 0)
 
 
-@dataclass(frozen=True)
-class DecompositionEntry:
+class DecompositionEntry(NamedTuple):
     shape: Shape  # stable shape: iota holds the tail below the padded row
     multiplicity: int
     class_size: int
     degree: int  # dimension of one irreducible in the class, at this (n, q)
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(NamedTuple):
     n: int
     m: int
     q: int

@@ -10,10 +10,9 @@ support is literally the key set.
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial, perm, prod
+from typing import NamedTuple
 
 from . import partitions as pt
 from .degrees import cuspidal_count
@@ -176,8 +175,7 @@ def tilde(label: Label) -> Label:
     return label.replace(IOTA, ((rows[0] + 1,) + rows[1:]) if rows else (1,))
 
 
-@dataclass(frozen=True, order=True)
-class Shape:
+class Shape(NamedTuple):
     """Label class under permuting same-degree cuspidals other than iota.
 
     parts lists the non-iota partitions as (degree, partition) with
@@ -231,6 +229,14 @@ def pool_size(d, q) -> int:
     return cuspidal_count(d, q) - (d == 1)
 
 
+def tally(items, counts=()) -> dict:
+    """A copy of counts plus the number of times each item occurs, as a plain dict."""
+    out = dict(counts)
+    for item in items:
+        out[item] = out.get(item, 0) + 1
+    return out
+
+
 def draws(parts, q, used=None) -> int:
     """Ways to give each (degree, tag) part its own cuspidal from the pool at q.
 
@@ -240,14 +246,14 @@ def draws(parts, q, used=None) -> int:
     multiplicities.
     """
     total = 1
-    for d, k in Counter(d for d, _tag in parts).items():
+    for d, k in tally(d for d, _tag in parts).items():
         avail = pool_size(d, q) - (used or {}).get(d, 0)
         if avail < 0:
             raise InvariantViolated(f"{-avail} more degree-{d} cuspidals in use than q={q} has")
         total *= perm(avail, k)
     if not total:
         return 0
-    total, rem = divmod(total, prod(factorial(c) for c in Counter(parts).values()))
+    total, rem = divmod(total, prod(factorial(c) for c in tally(parts).values()))
     if rem:
         raise InvariantViolated(f"draws of {parts} at q={q} are not integral")
     return total
@@ -326,7 +332,7 @@ def format_partition(rows) -> str:
 def format_shape(shape: Shape) -> str:
     """Human syntax, e.g. 'i:(3,2); 2:(1)x1'."""
     pieces = [f"i:{format_partition(shape.iota)}"]
-    for (d, rows), count in Counter(shape.parts).items():
+    for (d, rows), count in tally(shape.parts).items():
         pieces.append(f"{d}:{format_partition(rows)}x{count}")
     return "; ".join(pieces)
 
@@ -347,7 +353,7 @@ def format_label(label: Label) -> str:
 def shape_to_json(shape: Shape) -> dict:
     others = [
         {"degree": d, "partition": list(rows), "count": count}
-        for (d, rows), count in Counter(shape.parts).items()
+        for (d, rows), count in tally(shape.parts).items()
     ]
     return {"iota": list(shape.iota), "others": others}
 

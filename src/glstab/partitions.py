@@ -1,14 +1,18 @@
 """Partitions and the row-wise add/remove-at-most-one-box relations.
 
 Partitions are canonical tuples of positive integers in weakly decreasing
-order; rows beyond the stored length read as 0.  down_set and up_set are
-cached: they take partitions as tuples and return tuples of partitions.
+order; rows beyond the stored length read as 0.  down_set, up_set and hooks
+are cached per partition; down_set and up_set return tuples of partitions,
+sorted by part_sort_key.  Both move one run of equal rows at a time: rows of
+different runs differ by at least one box, so a run never breaks its
+neighbours' order, and within a run of c rows the last j (down) or the first
+j (up) rows move, j = 0..c.  Each result is one choice of j per run.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations
+from itertools import groupby
 
 from .errors import BadParameters, GuardExceeded
 
@@ -47,16 +51,16 @@ def arrow_up(lam, mu) -> bool:
 
 @lru_cache(maxsize=None)
 def down_set(mu) -> tuple:
-    """All lam with arrow_up(lam, mu), i.e. remove <=1 box per row of mu."""
-    k = len(mu)
-    out = set()
-    for r in range(k + 1):
-        for drop in combinations(range(k), r):
-            rows = list(mu)
-            for i in drop:
-                rows[i] -= 1
-            if all(rows[i] >= rows[i + 1] for i in range(k - 1)):
-                out.add(tuple(v for v in rows if v > 0))
+    """All lam with arrow_up(lam, mu), i.e. remove <=1 box per row of mu.
+
+    In each run of c rows of length v, the last j rows (j = 0..c) lose a box;
+    rows of length 0 are dropped.
+    """
+    out = [()]
+    for v, run in groupby(mu):
+        c = len(tuple(run))
+        out = [rows + (v,) * (c - j) + (v - 1,) * (j if v > 1 else 0)
+               for rows in out for j in range(c + 1)]
     return tuple(sorted(out, key=part_sort_key))
 
 
@@ -64,22 +68,18 @@ def down_set(mu) -> tuple:
 def up_set(lam, target_size) -> tuple:
     """All mu of the given size with arrow_up(lam, mu).
 
-    The size cap is mandatory: without it arbitrarily many new rows of
-    length 1 could be appended.
+    In each run of c rows of length v, the first j rows (j = 0..c) gain a
+    box, within the boxes target_size - |lam| leaves; the boxes left over
+    become new rows of length 1.  The size cap is mandatory: without it
+    arbitrarily many new rows of length 1 could be appended.
     """
-    b = target_size - size(lam)
-    k = len(lam)
-    out = set()
-    for j in range(min(b, k) + 1):
-        t = b - j  # new trailing rows of length 1
-        for grow in combinations(range(k), j):
-            rows = list(lam)
-            for i in grow:
-                rows[i] += 1
-            if any(rows[i] < rows[i + 1] for i in range(k - 1)):
-                continue
-            out.add(tuple(rows) + (1,) * t)
-    return tuple(sorted(out, key=part_sort_key))
+    partial = [((), target_size - size(lam))]  # (rows so far, boxes left)
+    for v, run in groupby(lam):
+        c = len(tuple(run))
+        partial = [(rows + (v + 1,) * j + (v,) * (c - j), left - j)
+                   for rows, left in partial for j in range(min(c, left) + 1)]
+    return tuple(sorted((rows + (1,) * left for rows, left in partial if left >= 0),
+                        key=part_sort_key))
 
 
 def transpose(lam) -> tuple:
@@ -88,6 +88,7 @@ def transpose(lam) -> tuple:
     return tuple(sum(1 for v in lam if v > j) for j in range(lam[0]))
 
 
+@lru_cache(maxsize=None)
 def hooks(lam) -> tuple:
     """Multiset of hook lengths, as a decreasing tuple of size |lam|."""
     conj = transpose(lam)

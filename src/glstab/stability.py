@@ -4,7 +4,7 @@ and the support bounds of stable shapes."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .branching import Decomposition, count_zigzag, decompose_perm_module
 from .errors import BadParameters
@@ -16,12 +16,11 @@ def stable_decomposition(m: int, q: int) -> Decomposition:
     return decompose_perm_module(3 * m, m, q)
 
 
-@dataclass
-class StabilityReport:
+class StabilityReport(NamedTuple):
     m: int
     q: int
     n_max: int
-    decompositions: dict = field(repr=False)  # n -> Decomposition
+    decompositions: dict  # n -> Decomposition
     observed_stability_degree: int = 0
     bound_satisfied: bool = True
 

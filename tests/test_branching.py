@@ -456,6 +456,16 @@ def test_shared_tables_are_history_independent():
     assert mixed == cold
 
 
+@pytest.mark.parametrize("n,m,q", [(9, 3, 3), (12, 4, 2)])
+def test_decomposition_is_independent_of_the_caches(n, m, q):
+    """The per-partition and per-pool caches only save work: emptying them between
+    two decompositions changes nothing."""
+    first = decompose_perm_module(n, m, q)
+    for cached in (pt.down_set, pt.up_set, pt.hooks, branching._fresh_columns, pool_size):
+        cached.cache_clear()
+    assert decompose_perm_module(n, m, q) == first
+
+
 def test_walk_without_target_keeps_no_shared_tables():
     """A decomposition memoises nothing, so it keeps no shared table; a pinned
     count, which sweeps repeat, still fills them."""

@@ -268,14 +268,18 @@ def test_packed_action_equals_object_action(m, n, q, ell):
 
 
 def object_orbits(points, actions):
-    """The orbits as sets, by plain closure under the actions."""
+    """The orbits as sets, by plain closure under the actions.  An image joins
+    its orbit as it is pushed, so each point is expanded once."""
     left, orbits = set(points), []
     while left:
-        orbit, frontier = set(), [left.pop()]
+        frontier = [left.pop()]
+        orbit = set(frontier)
         while frontier:
             p = frontier.pop()
-            orbit.add(p)
-            frontier += [img for act in actions if (img := act(p)) not in orbit]
+            for act in actions:
+                if (img := act(p)) not in orbit:
+                    orbit.add(img)
+                    frontier.append(img)
         left -= orbit
         orbits.append(frozenset(orbit))
     return set(orbits)

@@ -1,9 +1,9 @@
 """Partition primitives: arrow relations, down/up sets, hooks, transpose."""
 
-from itertools import chain
+from itertools import chain, combinations
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from glstab import partitions as pt
@@ -11,6 +11,44 @@ from glstab import partitions as pt
 partitions = st.integers(0, 7).flatmap(
     lambda n: st.sampled_from(pt.partitions_of(n) or ((),))
 )
+
+
+@st.composite
+def run_partitions(draw):
+    """Partitions of at most 12 rows made of a few long runs of equal rows."""
+    rows = []
+    for v in sorted(draw(st.lists(st.integers(1, 6), max_size=4, unique=True)), reverse=True):
+        rows += [v] * draw(st.integers(1, 6))
+    return tuple(rows[:12])
+
+
+def subset_down_set(mu):
+    """down_set by trying every subset of rows to lose a box and keeping the partitions."""
+    k = len(mu)
+    out = set()
+    for r in range(k + 1):
+        for drop in combinations(range(k), r):
+            rows = list(mu)
+            for i in drop:
+                rows[i] -= 1
+            if all(rows[i] >= rows[i + 1] for i in range(k - 1)):
+                out.add(tuple(v for v in rows if v > 0))
+    return tuple(sorted(out, key=pt.part_sort_key))
+
+
+def subset_up_set(lam, target_size):
+    """up_set by trying every subset of rows to gain a box, the rest as new rows of 1."""
+    b = target_size - sum(lam)
+    k = len(lam)
+    out = set()
+    for j in range(min(b, k) + 1):
+        for grow in combinations(range(k), j):
+            rows = list(lam)
+            for i in grow:
+                rows[i] += 1
+            if all(rows[i] >= rows[i + 1] for i in range(k - 1)):
+                out.add(tuple(rows) + (1,) * (b - j))
+    return tuple(sorted(out, key=pt.part_sort_key))
 
 
 def brute_arrow_up(lam, mu):
@@ -61,6 +99,18 @@ def test_up_set_is_exactly_the_arrow_successors_of_given_size():
                 mu for mu in universe if sum(mu) == target and pt.arrow_up(lam, mu)
             }
             assert set(pt.up_set(lam, target)) == expected
+
+
+@given(run_partitions(), st.integers(-3, 4))
+@example((1,) * 12, 14)
+@example((3,) * 12, 40)
+@example((4, 4, 4, 2, 2, 2, 2, 1, 1, 1, 1, 1), 30)
+@example((), -1)
+def test_run_wise_moves_equal_the_subset_reference(lam, extra):
+    """The run-wise moves return exactly the subset scan's sorted tuple, no partition
+    twice, at target sizes below, at and above |lam|."""
+    assert pt.down_set(lam) == subset_down_set(lam)
+    assert pt.up_set(lam, sum(lam) + extra) == subset_up_set(lam, sum(lam) + extra)
 
 
 @given(partitions)
