@@ -18,6 +18,12 @@ an up-move folds the keys that may grow into (items, budget left) pairs, and
 each takes fresh anonymous columns from one cache keyed by (q, cuspidals used
 per degree, budget).  _step is one down/up pair.
 
+A state is labels.canonical's form: a tuple of (key, rows) entries, sorted,
+whose anonymous keys ("anon", degree) carry no slot, so equal anonymous entries
+repeat and a move's result is canonical once its entries are sorted.  No Label is
+built inside a walk: Label's checks run only on what callers pass in, and slots
+exist only at that edge.
+
 A walk never meets a state twice (the norm grows by one per step), so tables
 outlive a walk only where they pay.  A walk with a target is a pinned count,
 which sweeps repeat by the hundred: its context, one per (q, sorted pinned
@@ -27,11 +33,9 @@ interns each state once.  A walk without a target builds its own context: it
 interns its states for itself and memoises nothing, so all it holds goes when
 the walk returns.  Walk n + 1 of a stability sweep takes walk n's moves a step
 later, but a memo across the sweep saved no time: the GC's scans of it cost what
-it saved.  A state's Label is built once, unchecked, from the valid partitions
-at a transition's leaves; Label's checks run only on what callers pass in.  A
-pinned walk prunes, after each down-move, the states that cannot reach its target,
-and its last pair stops after the down-move: the target is all named, so one
-up-move takes each state left to it in exactly one way.
+it saved.  A pinned walk prunes, after each down-move, the states that cannot
+reach its target, and its last pair stops after the down-move: the target is all
+named, so one up-move takes each state left to it in exactly one way.
 """
 
 from __future__ import annotations
@@ -48,18 +52,16 @@ from .labels import (
     IOTA,
     Label,
     Shape,
-    anon_key,
     canonical,
-    canonical_entries,
     class_size,
     draws,
     key_degree,
     named_key,
+    part_order,
     pool_size,
     shape_to_json,
     tally,
     trivial_label,
-    trusted_label,
     weighted_multisets,
 )
 
@@ -67,20 +69,20 @@ from .labels import (
 @lru_cache(maxsize=None)
 def _fresh_columns(q, used, budget):
     """(columns, draw weight) pairs, weight nonzero, of fresh anonymous columns filling
-    budget; used lists (degree, cuspidals in use).  Each columns tuple holds (key, rows)
-    items, all on slot 0: canonical_entries renumbers the slots."""
+    budget; used lists (degree, cuspidals in use).  Each columns tuple holds
+    (("anon", degree), rows) items."""
     cols = sorted(
         ((d, k) for d in range(1, budget + 1) for k in range(1, budget // d + 1)),
         reverse=True,
     )
     return tuple(
-        (tuple((anon_key(d, 0), (1,) * k) for d, k in multiset), w)
+        (tuple((("anon", d), (1,) * k) for d, k in multiset), w)
         for multiset in weighted_multisets([(d * k, (d, k)) for d, k in cols], budget)
         if (w := draws(multiset, q, dict(used)))
     )
 
 
-_states = {}  # canonical entries -> the one Label object the shared memos hold for them
+_states = {}  # state -> the one equal tuple the shared memos hold
 _down = {}  # state -> its down-moves, for every shared context
 
 
@@ -102,29 +104,24 @@ class _Ctx:
         self._states, self._down, self._up_memo = tables or ({}, None, None)
 
     def _keep(self, memo, key, out):
-        """out (entries -> weight) as (state, weight) pairs over interned states; memo[key]
+        """out (state -> weight) as (state, weight) pairs over interned states; memo[key]
         keeps them if there is a memo."""
-        pairs = []
-        for entries, w in out.items():
-            state = self._states.get(entries)
-            if state is None:
-                state = self._states[entries] = trusted_label(entries)
-            pairs.append((state, w))
-        pairs = tuple(pairs)
+        intern = self._states.setdefault
+        pairs = tuple((intern(s, s), w) for s, w in out.items())
         if memo is not None:
             memo[key] = pairs
         return pairs
 
-    def down(self, state: Label):
+    def down(self, state: tuple):
         """Canonical successors of one remove-at-most-one-box-per-row step."""
         if self._down is not None and (hit := self._down.get(state)) is not None:
             return hit
         out = defaultdict(int)
-        for choice in product(*(pt.down_set(rows) for _, rows in state.entries)):
-            out[canonical_entries([(k, r) for (k, _), r in zip(state.entries, choice) if r])] += 1
+        for choice in product(*(pt.down_set(rows) for _, rows in state)):
+            out[tuple(sorted([(k, r) for (k, _), r in zip(state, choice) if r]))] += 1
         return self._keep(self._down, state, out)
 
-    def up(self, state: Label, target_norm: int):
+    def up(self, state: tuple, target_norm: int):
         """Canonical successors of one add-at-most-one-box-per-row step.
 
         Weights count concrete successors of one concrete representative:
@@ -134,14 +131,13 @@ class _Ctx:
         memo_key = (state, target_norm)
         if self._up_memo is not None and (hit := self._up_memo.get(memo_key)) is not None:
             return hit
-        rows_of = dict(state.entries)
-        active = [k for k in rows_of if k[0] == "anon"]
-        used = tuple(sorted(tally(map(key_degree, active), self.named_by_degree).items()))
-        # (items so far, budget left), folded over the keys that may grow
-        partial = [((), target_norm - state.norm())]
-        for key in [IOTA, *self.named_context, *active]:
-            d, rows = key_degree(key), rows_of.get(key, ())
-            base = sum(rows)
+        rows_of = dict(state)  # for iota and named keys: anonymous keys repeat
+        active = [(k, rows) for k, rows in state if k[0] == "anon"]
+        used = tuple(sorted(tally((key_degree(k) for k, _ in active), self.named_by_degree).items()))
+        # (items so far, budget left), folded over the entries that may grow
+        partial = [((), target_norm - sum(key_degree(k) * sum(rows) for k, rows in state))]
+        for key, rows in [(k, rows_of.get(k, ())) for k in (IOTA, *self.named_context)] + active:
+            d, base = key_degree(key), sum(rows)
             partial = [
                 (items + ((key, new_rows),) if new_rows else items, left - d * b)
                 for items, left in partial
@@ -151,7 +147,7 @@ class _Ctx:
         out = defaultdict(int)
         for items, left in partial:
             for columns, w in _fresh_columns(self.q, used, left):
-                out[canonical_entries(items + columns)] += w
+                out[tuple(sorted(items + columns))] += w
         return self._keep(self._up_memo, memo_key, out)
 
 
@@ -159,16 +155,16 @@ class _Ctx:
 _new_context = lru_cache(maxsize=None)(lambda q, support: _Ctx(q, support, (_states, _down, {})))
 
 
-def _can_reach(state: Label, goal: dict, r: int) -> bool:
+def _can_reach(state: tuple, goal: dict, r: int) -> bool:
     """Cheap necessary condition for reaching goal (key -> rows) with r up-moves and
     r - 1 down-moves left: each move shifts a row by at most one, so the goal's row
     minus the state's lies in 1 - r .. r on every row of every key (a key outside a
-    support is empty).  At r = 1 the rule is exact, arrow_up on every key, and the
-    last pair of a pinned walk relies on that."""
+    support is empty).  At r = 1 the rule is exact: the goal adds at most one box to
+    each row of every key, and the last pair of a pinned walk relies on that."""
     left = dict(goal)
     return all(
         1 - r <= want - have <= r
-        for key, rows in state.entries
+        for key, rows in state
         for want, have in zip_longest(left.pop(key, ()), rows, fillvalue=0)
     ) and all(rows[0] <= r for rows in left.values())
 
@@ -207,14 +203,14 @@ def zigzag_distribution(start: Label, m: int, q: int, target=None):
     """Path-count weights over canonical states after m down/up pairs.
 
     The named keys of start and target are the pinned support: the walk keeps
-    their cuspidals apart from the fresh ones it draws.  A target is pinned
-    (canonical, all named) and has norm start.norm() + m."""
-    ends = (start,) if target is None else (start, target)
-    support = tuple(sorted({k for e in ends for k in e.support() if k[0] == "named"}))
+    their cuspidals apart from the fresh ones it draws.  A target is a state
+    (canonical of an all-named label) of norm start.norm() + m."""
+    ends = (canonical(start),) if target is None else (canonical(start), target)
+    support = tuple(sorted({k for e in ends for k, _ in e if k[0] == "named"}))
     ctx = _Ctx(q, support) if target is None else _new_context(q, support)
-    states = {canonical(start): 1}
+    states = {ends[0]: 1}
     n0 = start.norm()
-    goal = None if target is None else dict(target.entries)
+    goal = None if target is None else dict(target)
     for s in range(1, m + 1 if target is None else m):
         states = _step(ctx, states, n0 + s, goal, m - s + 1)
     if target is None:
@@ -293,13 +289,13 @@ def decompose_perm_module(n: int, m: int, q: int) -> Decomposition:
     dist = zigzag_distribution(trivial_label(n - m), m, q)
     entries = []
     for state, weight in dist.items():
-        # shapes from the canonical entries (iota, then parts in Shape order), no
-        # Label built: the degree shape keeps the first iota row, the stable shape
-        # drops it, which (as in stabilize) needs that row to be the longest
-        iota = state.entries[0][1] if state.entries and state.entries[0][0] == IOTA else ()
+        # shapes straight from the state, its parts sorted into Shape order: the degree
+        # shape keeps the first iota row, the stable shape drops it, which (as in
+        # stabilize) needs that row to be the longest
+        iota = dict(state).get(IOTA, ())
         if iota[1:2] > iota[:1]:
             raise InvariantViolated(f"{state} is not of padded form")
-        parts = tuple((key_degree(k), rows) for k, rows in state.entries if k != IOTA)
+        parts = tuple(sorted(((k[1], rows) for k, rows in state if k != IOTA), key=part_order))
         stable_shape = Shape(iota[1:], parts)
         cls = class_size(stable_shape, q)
         if cls <= 0 or weight % cls:

@@ -108,39 +108,12 @@ class Label:
 EMPTY_LABEL = Label()
 
 
-def trusted_label(entries) -> Label:
-    """The Label of already valid, sorted entries, built without Label's checks."""
-    label = Label.__new__(Label)
-    label.entries = entries
-    label._hash = hash(entries)
-    return label
-
-
-def canonical_entries(items) -> tuple:
-    """Sorted entries of the canonical label of valid (key, nonempty rows) items.
-
-    Anonymous entries are sorted once by (degree, size, rows), which is
-    partition order within each degree, and numbered from slot 0 per degree.
-    """
-    fixed, anon = [], []
-    for key, rows in items:
-        if key[0] == "anon":
-            anon.append((key[1], sum(rows), rows))
-        else:
-            fixed.append((key, rows))
-    fixed.sort()
-    anon.sort()
-    slot, prev = 0, None
-    for d, _size, rows in anon:
-        slot = slot + 1 if d == prev else 0
-        prev = d
-        fixed.append((("anon", d, slot), rows))
-    return tuple(fixed)
-
-
-def canonical(label: Label) -> Label:
-    """Renumber anonymous slots: within each degree, sort by partition order."""
-    return trusted_label(canonical_entries(label.entries))
+def canonical(label: Label) -> tuple:
+    """The zigzag DP's state of a label: its (key, rows) entries, sorted, where an
+    anonymous key is ("anon", degree) without its slot.  Equal anonymous entries
+    then repeat, so two labels that differ by a renumbering of anonymous slots
+    within a degree have one state."""
+    return tuple(sorted((k[:2] if k[0] == "anon" else k, rows) for k, rows in label.entries))
 
 
 def trivial_label(n) -> Label:
@@ -192,14 +165,14 @@ class Shape(NamedTuple):
         return (self.norm(), self.iota, self.parts)
 
 
+def part_order(part):
+    """Shape order on (degree, partition) parts: by degree, then partition order."""
+    return part[0], pt.part_sort_key(part[1])
+
+
 def make_shape(iota=(), parts=()) -> Shape:
     iota = pt.as_partition(iota)
-    parts = tuple(
-        sorted(
-            ((int(d), pt.as_partition(rows)) for d, rows in parts),
-            key=lambda dr: (dr[0], pt.part_sort_key(dr[1])),
-        )
-    )
+    parts = tuple(sorted(((int(d), pt.as_partition(rows)) for d, rows in parts), key=part_order))
     if any(d < 1 or not rows for d, rows in parts):
         raise BadParameters("shape parts must be nonempty with degree >= 1")
     return Shape(iota, parts)

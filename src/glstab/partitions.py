@@ -35,23 +35,9 @@ def size(lam) -> int:
     return sum(lam)
 
 
-def row(lam, i) -> int:
-    """Row i (0-indexed), reading 0 beyond the stored length."""
-    return lam[i] if i < len(lam) else 0
-
-
-def arrow_up(lam, mu) -> bool:
-    """True iff mu adds at most one box to each row of lam."""
-    for i in range(max(len(lam), len(mu))):
-        li, mi = row(lam, i), row(mu, i)
-        if not (li <= mi <= li + 1):
-            return False
-    return True
-
-
 @lru_cache(maxsize=None)
 def down_set(mu) -> tuple:
-    """All lam with arrow_up(lam, mu), i.e. remove <=1 box per row of mu.
+    """All lam obtained from mu by removing at most one box from each row.
 
     In each run of c rows of length v, the last j rows (j = 0..c) lose a box;
     rows of length 0 are dropped.
@@ -66,7 +52,8 @@ def down_set(mu) -> tuple:
 
 @lru_cache(maxsize=None)
 def up_set(lam, target_size) -> tuple:
-    """All mu of the given size with arrow_up(lam, mu).
+    """All mu of the given size obtained from lam by adding at most one box to
+    each row, counting the empty rows below lam.
 
     In each run of c rows of length v, the first j rows (j = 0..c) gain a
     box, within the boxes target_size - |lam| leaves; the boxes left over

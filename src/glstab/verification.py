@@ -9,7 +9,7 @@ to hide a failure.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 from .branching import count_zigzag, decompose_perm_module
 from .concrete import count_zigzag_concrete
@@ -37,15 +37,14 @@ from .stability import (
 PASS, FAIL, SKIP = "PASS", "FAIL", "SKIP"
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     criterion: int
     name: str
     status: str
     detail: str
 
     def to_json(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
 def _result(criterion, name, ok, detail=""):

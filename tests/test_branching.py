@@ -35,6 +35,7 @@ from glstab.labels import (
     shape_of,
     trivial_label,
 )
+from test_partitions import arrow_up, row
 
 
 def _clear_tables():
@@ -294,27 +295,38 @@ def _partition_of_size(lo, hi):
     return st.integers(lo, hi).flatmap(lambda n: st.sampled_from(pt.partitions_of(n)))
 
 
+def _label(state):
+    """A Label of the state: its anonymous entries take slots 0, 1, ... per degree."""
+    slots, items = Counter(), []
+    for key, rows in state:
+        if key[0] == "anon":
+            key, slots[key[1]] = anon_key(key[1], slots[key[1]]), slots[key[1]] + 1
+        items.append((key, rows))
+    return Label(items)
+
+
 small_states = st.builds(
-    lambda iota, anon: canonical(
-        Label([(IOTA, iota)] + [(anon_key(d, j), rows) for j, (d, rows) in enumerate(anon)])
-    ),
+    lambda iota, anon: Label([(IOTA, iota)] + [(anon_key(d, j), rows) for j, (d, rows) in enumerate(anon)]),
     _partition_of_size(0, 5),
     st.lists(st.tuples(st.integers(1, 3), _partition_of_size(1, 4)), max_size=2),
-).filter(lambda s: s.norm() <= 7)
+).filter(lambda lab: lab.norm() <= 7).map(canonical)
 
 
 @given(small_states)
 def test_down_move_matches_brute_force(state):
-    """_Ctx.down counts, per canonical result, the choices of one lam per entry
-    with arrow_up(lam, rows), listed here from all partitions of nearby sizes."""
+    """_Ctx.down counts, per canonical result, the choices of one lam per entry of
+    a Label of the state with arrow_up(lam, rows), listed here from all partitions
+    of nearby sizes."""
+    label = _label(state)
+    assert canonical(label) == state
     choices = [
         [
             (key, lam)
             for size in range(sum(rows) - len(rows), sum(rows) + 1)
             for lam in pt.partitions_of(size)
-            if pt.arrow_up(lam, rows)
+            if arrow_up(lam, rows)
         ]
-        for key, rows in state.entries
+        for key, rows in label.entries
     ]
     expected = Counter(canonical(Label(items)) for items in product(*choices))
     _clear_tables()
@@ -322,7 +334,7 @@ def test_down_move_matches_brute_force(state):
 
 
 small_labels = st.builds(
-    lambda iota, named, anon: canonical(Label([(IOTA, iota), *named, *anon])),
+    lambda iota, named, anon: Label([(IOTA, iota), *named, *anon]),
     _partition_of_size(0, 4),
     st.lists(
         st.tuples(st.sampled_from([named_key(1, "a"), named_key(2, "b")]), _partition_of_size(1, 3)),
@@ -334,22 +346,23 @@ small_labels = st.builds(
 
 
 @given(small_labels, small_labels, st.integers(1, 4))
-def test_reach_rule_after_the_down_move(state, target, r):
+def test_reach_rule_after_the_down_move(label, target, r):
     """With one up-move left the rule is arrow_up on every key; and a state with a
     down-successor that passes it passes the rule for a whole down/up pair,
-    |row difference| <= r on every row of every key."""
-    goal = dict(target.entries)
-    keys = set(state.support()) | set(target.support())
+    |row difference| <= r on every row of every key.  Each label has at most one
+    anonymous entry, so its state's keys name its entries."""
+    state, goal = canonical(label), dict(canonical(target))
+    keys = set(label.support()) | set(target.support())
     if r == 1:
         assert branching._can_reach(state, goal, 1) == all(
-            pt.arrow_up(state.get(k), target.get(k)) for k in keys
+            arrow_up(label.get(k), target.get(k)) for k in keys
         )
     down = branching._new_context(2, ()).down(state)
     if any(branching._can_reach(succ, goal, r) for succ, _ in down):
         assert all(
-            abs(pt.row(state.get(k), i) - pt.row(target.get(k), i)) <= r
+            abs(row(label.get(k), i) - row(target.get(k), i)) <= r
             for k in keys
-            for i in range(max(len(state.get(k)), len(target.get(k))))
+            for i in range(max(len(label.get(k)), len(target.get(k))))
         )
 
 
@@ -481,9 +494,9 @@ def test_walk_without_target_keeps_no_shared_tables():
     assert branching._new_context.cache_info().currsize == before + 1
 
 
-small_supported_states = st.builds(
-    lambda iota, named, anon: canonical(
-        Label([(IOTA, iota), *named, *((anon_key(d, j), rows) for j, (d, rows) in enumerate(anon))])
+small_supported_labels = st.builds(
+    lambda iota, named, anon: Label(
+        [(IOTA, iota), *named, *((anon_key(d, j), rows) for j, (d, rows) in enumerate(anon))]
     ),
     _partition_of_size(0, 4),
     st.lists(
@@ -491,30 +504,30 @@ small_supported_states = st.builds(
         max_size=1,
     ),
     st.lists(st.tuples(st.integers(1, 2), _partition_of_size(1, 3)), max_size=2),
-).filter(lambda s: s.norm() <= 7)
+).filter(lambda lab: lab.norm() <= 7)
 
 
-@given(small_supported_states, st.sampled_from([2, 3, 4]))
-def test_direct_context_agrees_with_the_shared_one(state, q):
+@given(small_supported_labels, st.sampled_from([2, 3, 4]))
+def test_direct_context_agrees_with_the_shared_one(label, q):
     """A context built directly gives the shared context's moves, writes no shared
-    table, and interns its states: equal entries from two moves are one object."""
-    per_degree = Counter(key_degree(k) for k in state.support() if k != IOTA)
+    table, and interns its states: equal states from two moves are one object."""
+    per_degree = Counter(key_degree(k) for k in label.support() if k != IOTA)
     assume(all(used <= pool_size(d, q) for d, used in per_degree.items()))
-    support = tuple(k for k in state.support() if k[0] == "named")
-    norms = range(state.norm(), state.norm() + 3)
+    support = tuple(k for k in label.support() if k[0] == "named")
+    state, norms = canonical(label), range(label.norm(), label.norm() + 3)
     _clear_tables()
     direct = branching._Ctx(q, support)
     moves = [direct.down(state)] + [direct.up(state, norm) for norm in norms]
-    moves += [direct.up(succ, state.norm()) for succ, _ in moves[0]]
+    moves += [direct.up(succ, label.norm()) for succ, _ in moves[0]]
     assert not branching._states and not branching._down
     interned = {}
     for pairs in moves:
         for succ, _ in pairs:
-            assert interned.setdefault(succ.entries, succ) is succ
+            assert interned.setdefault(succ, succ) is succ
     shared = branching._new_context(q, support)
 
     def as_counter(pairs):
-        return Counter({succ.entries: w for succ, w in pairs})
+        return Counter(dict(pairs))
 
     assert as_counter(moves[0]) == as_counter(shared.down(state))
     for norm, pairs in zip(norms, moves[1:]):
@@ -538,22 +551,37 @@ def _walk_states(ctx, start, m):
 
 
 def test_trusted_states_are_valid_canonical_and_interned():
-    """States built without Label's checks pass them, are canonical, and are
-    the one interned object for their entries; unpinned and pinned."""
-    for m, q in [(2, 2), (3, 2), (2, 3), (2, 4)]:
+    """States built without Label's checks are sorted tuples of entries whose
+    anonymous keys carry no slot and whose rows are nonempty partitions, and
+    each is the one interned object for its entries; unpinned and pinned."""
+    # the unpinned walk at (3, 4) meets two degree-1 anonymous entries whose rows
+    # change order on a down-move: (1,1) before (2,) becomes (1,1) after (1,)
+    for m, q, pinned in [(2, 2, True), (3, 2, True), (2, 3, True), (2, 4, True), (3, 4, False)]:
         _clear_tables()
         n = 3 * m
         walks = [_walk_states(_pinned_context(q), trivial_label(n - m), m)]
-        for e in decompose_perm_module(n, m, q).entries:
+        for e in decompose_perm_module(n, m, q).entries if pinned else ():
             if e.shape.parts:
                 mu = branching._pin_anonymous(pad(label_of_shape(e.shape), n))
                 walks.append(_walk_states(_pinned_context(q, mu), trivial_label(n - m), m))
         for states in walks:
             assert states
             for state in states:
-                assert Label(state.entries) == state
-                assert canonical(state) == state
-                assert branching._states[state.entries] is state
+                assert list(state) == sorted(state)
+                assert all(len(k) == 2 for k, _ in state if k[0] == "anon")
+                assert all(rows and pt.as_partition(rows) == rows for _, rows in state)
+                assert branching._states[state] is state
+                assert canonical(_label(state)) == state
+
+
+@pytest.mark.parametrize("n,m,q", [(7, 5, 4), (6, 5, 5)])
+def test_decomposition_shapes_are_in_shape_order(n, m, q):
+    """Each entry's shape lists its parts as make_shape does, by degree and then
+    partition order, also where that order is not the order of the rows alone:
+    (2,) before (1,1,1) among degree-1 parts."""
+    shapes = [e.shape for e in decompose_perm_module(n, m, q).entries]
+    assert make_shape((), [(1, (1, 1, 1)), (1, (2,))]) in shapes
+    assert all(shape == make_shape(shape.iota, shape.parts) for shape in shapes)
 
 
 def test_dp_validates_a_bounded_number_of_labels(monkeypatch):

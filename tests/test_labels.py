@@ -13,7 +13,6 @@ from glstab.labels import (
     Label,
     anon_key,
     canonical,
-    canonical_entries,
     class_size,
     draws,
     enumerate_labels,
@@ -32,6 +31,7 @@ from glstab.labels import (
     tilde,
     trivial_label,
 )
+from test_partitions import arrow_up
 
 partitions = st.integers(0, 5).flatmap(
     lambda n: st.sampled_from(pt.partitions_of(n) or ((),))
@@ -118,7 +118,7 @@ def test_tilde_raises_norm_by_one(lam):
 def label_arrow_up(a, b):
     """Keywise add-at-most-one-box-per-row relation from a to b."""
     keys = set(a.support()) | set(b.support())
-    return all(pt.arrow_up(a.get(k), b.get(k)) for k in keys)
+    return all(arrow_up(a.get(k), b.get(k)) for k in keys)
 
 
 @given(stable_labels, st.integers(0, 3))
@@ -154,8 +154,8 @@ def test_canonical_renumbers_anonymous_slots():
 
 
 def _validated_canonical(label):
-    """canonical as it was before states were trusted: sort anonymous entries
-    by degree then partition order, renumber, and validate a new Label."""
+    """canonical as it was while states kept slots: sort anonymous entries by
+    degree then partition order, renumber, and validate a new Label."""
     fixed = [(k, r) for k, r in label.entries if k[0] != "anon"]
     anon = sorted(
         ((k[1], r) for k, r in label.entries if k[0] == "anon"),
@@ -167,6 +167,11 @@ def _validated_canonical(label):
         counters[d] = slot + 1
         fixed.append((anon_key(d, slot), rows))
     return Label(fixed)
+
+
+def _state_shape(state):
+    """The shape of a state, read from its entries alone."""
+    return make_shape(dict(state).get(IOTA, ()), [(k[1], r) for k, r in state if k != IOTA])
 
 
 # few small partitions, so that equal partitions under one degree are common
@@ -187,33 +192,60 @@ label_items = st.tuples(
 )
 
 
+@st.composite
+def related_items(draw):
+    """Items of a drawn label and of a second one: the first's anonymous rows
+    permuted within each degree, and maybe one entry's rows redrawn."""
+    items, rnd = draw(label_items), draw(st.randoms(use_true_random=False))
+    other = list(items)
+    for d in {k[1] for k, _ in items if k[0] == "anon"}:
+        places = [i for i, (k, _) in enumerate(items) if k[:2] == ("anon", d)]
+        rows = [items[i][1] for i in places]
+        rnd.shuffle(rows)
+        for i, r in zip(places, rows):
+            other[i] = (items[i][0], r)
+    if items and draw(st.booleans()):
+        i = draw(st.integers(0, len(items) - 1))
+        other[i] = (other[i][0], draw(small_rows))
+    return items, other
+
+
 @settings(max_examples=300)
-@given(label_items)
+@given(label_items, st.randoms(use_true_random=False))
+def test_canonical_ignores_renumbered_anonymous_slots(items, rnd):
+    """Any injective renumbering of the anonymous slots within a degree gives the
+    same state; the state is sorted and its anonymous keys carry no slot."""
+    anon_degrees = [k[1] for k, _ in items if k[0] == "anon"]
+    slots = {d: iter(rnd.sample(range(50), anon_degrees.count(d))) for d in set(anon_degrees)}
+    renumbered = [(anon_key(k[1], next(slots[k[1]])) if k[0] == "anon" else k, r) for k, r in items]
+    state = canonical(Label(items))
+    assert canonical(Label(renumbered)) == state
+    assert list(state) == sorted(state)
+    assert all(len(k) == 2 for k, _ in state if k[0] == "anon")
+
+
+@settings(max_examples=300)
+@given(related_items())
 # (2,) comes before (1,1,1) in partition order (by size), after it by rows alone
-@example([(anon_key(1, 0), (1, 1, 1)), (anon_key(1, 1), (2,)), (anon_key(2, 0), (1,))])
-def test_leaf_canonicaliser_matches_validated_canonical(items):
-    """The trusted path gives the entries, equality and hash of the validated one."""
-    expected = _validated_canonical(Label(items))
-    assert canonical_entries(items) == expected.entries
-    trusted = canonical(Label(items))
-    assert trusted == expected and hash(trusted) == hash(expected)
-    assert Label(trusted.entries) == trusted
+@example(([(anon_key(1, 0), (1, 1, 1)), (anon_key(1, 1), (2,)), (anon_key(2, 0), (1,))],
+          [(anon_key(1, 0), (2,)), (anon_key(1, 1), (1, 1, 1)), (anon_key(2, 0), (1, 1))]))
+def test_canonical_separates_labels_of_different_shapes(pair):
+    """A state determines its label's shape, so labels whose shapes differ have
+    different states."""
+    a, b = (Label(items) for items in pair)
+    assert _state_shape(canonical(a)) == shape_of(a)
+    if shape_of(a) != shape_of(b):
+        assert canonical(a) != canonical(b)
 
 
-def test_canonical_entries_sort_degree_before_rows():
-    items = [(anon_key(2, 0), (1,)), (anon_key(1, 1), (3,)), (anon_key(1, 2), (1,))]
-    assert canonical_entries(items) == (
-        (anon_key(1, 0), (1,)),
-        (anon_key(1, 1), (3,)),
-        (anon_key(2, 0), (1,)),
-    )
-
-
-@given(label_items)
-def test_canonical_entries_ignore_anonymous_slots(items):
-    """Anonymous items that repeat a slot give the entries of distinct slots."""
-    one_slot = [(anon_key(k[1], 0) if k[0] == "anon" else k, rows) for k, rows in items]
-    assert canonical_entries(one_slot) == canonical_entries(items)
+@settings(max_examples=300)
+@given(related_items())
+def test_canonical_agrees_with_the_validated_reference(pair):
+    """Two labels have one state exactly when the reference gives them one
+    renumbered Label, and the reference's Label has the same state."""
+    a, b = (Label(items) for items in pair)
+    assert canonical(_validated_canonical(a)) == canonical(a)
+    assert (canonical(a) == canonical(b)) == (_validated_canonical(a) == _validated_canonical(b))
 
 
 def test_shape_forgetting_and_representative():

@@ -51,16 +51,15 @@ def subset_up_set(lam, target_size):
     return tuple(sorted(out, key=pt.part_sort_key))
 
 
-def brute_arrow_up(lam, mu):
-    """mu is obtained from lam by adding at most one box per row."""
-    rows = max(len(lam), len(mu))
-    return all(0 <= pt.row(mu, i) - pt.row(lam, i) <= 1 for i in range(rows))
+def row(lam, i):
+    """Row i (0-indexed), reading 0 beyond the stored length."""
+    return lam[i] if i < len(lam) else 0
 
 
-def brute_arrow_down(mu, lam):
-    """lam is obtained from mu by removing at most one box per row."""
-    rows = max(len(lam), len(mu))
-    return all(0 <= pt.row(mu, i) - pt.row(lam, i) <= 1 for i in range(rows))
+def arrow_up(lam, mu):
+    """The reference relation of the zigzag moves: mu adds at most one box to
+    each row of lam (equivalently, lam removes at most one from each row of mu)."""
+    return all(0 <= row(mu, i) - row(lam, i) <= 1 for i in range(max(len(lam), len(mu))))
 
 
 def all_partitions_up_to(n):
@@ -77,17 +76,18 @@ def test_as_partition_normalizes_and_validates():
 
 
 def test_arrow_relations_match_brute_force():
+    """Both moves are the one relation: lam is in down_set(mu) exactly when mu is in
+    up_set(lam, |mu|), exactly when arrow_up(lam, mu)."""
     universe = all_partitions_up_to(8)
     for lam in universe:
         for mu in universe:
-            assert pt.arrow_up(lam, mu) == brute_arrow_up(lam, mu)
-            assert pt.arrow_up(lam, mu) == brute_arrow_down(mu, lam)
+            assert arrow_up(lam, mu) == (lam in pt.down_set(mu)) == (mu in pt.up_set(lam, sum(mu)))
 
 
 def test_down_set_is_exactly_the_arrow_predecessors():
     universe = all_partitions_up_to(7)
     for mu in universe:
-        expected = {lam for lam in universe if pt.arrow_up(lam, mu)}
+        expected = {lam for lam in universe if arrow_up(lam, mu)}
         assert set(pt.down_set(mu)) == expected
 
 
@@ -96,7 +96,7 @@ def test_up_set_is_exactly_the_arrow_successors_of_given_size():
     for lam in universe:
         for target in range(sum(lam) - 2, 9):
             expected = {
-                mu for mu in universe if sum(mu) == target and pt.arrow_up(lam, mu)
+                mu for mu in universe if sum(mu) == target and arrow_up(lam, mu)
             }
             assert set(pt.up_set(lam, target)) == expected
 

@@ -114,8 +114,8 @@ def margin_walk(m, q, tail, n):
     """
     nu = _pin_anonymous(trivial_label(n - m))
     target = canonical(_pin_anonymous(pad(label_of_shape(make_shape(tail, ())), n)))
-    ctx = _new_context(q, tuple(sorted(k for k in target.support() if k[0] == "named")))
-    goal = dict(target.entries)
+    ctx = _new_context(q, tuple(sorted(k for k, _ in target if k[0] == "named")))
+    goal = dict(target)
     states, visited, holds = {canonical(nu)}, 0, True
     for s in range(1, m + 1):
         after_down = {succ for st in states for succ, _ in ctx.down(st)}
@@ -125,7 +125,7 @@ def margin_walk(m, q, tail, n):
         else:
             states = {target} if kept else set()
         for state in after_down | states:
-            rows = state.get(IOTA) + (0, 0)
+            rows = dict(state).get(IOTA, ()) + (0, 0)
             visited += 1
             holds = holds and rows[0] > rows[1]
     return visited, holds
