@@ -34,8 +34,12 @@ interns its states for itself and memoises nothing, so all it holds goes when
 the walk returns.  Walk n + 1 of a stability sweep takes walk n's moves a step
 later, but a memo across the sweep saved no time: the GC's scans of it cost what
 it saved.  A pinned walk prunes, after each down-move, the states that cannot
-reach its target, and its last pair stops after the down-move: the target is all
-named, so one up-move takes each state left to it in exactly one way.
+reach its target.  The rule reads one key's rows at a time: with r up-moves left,
+_can_reach bounds each row's gap to the target's by 1 - r .. r, and a target key
+that a state lacks is empty there, so one set per step holds the target keys whose
+first row is above r.  The rule is exact at r = 1 and the target is all named, so
+one up-move takes a state that passes it to the target in one way: the last pair
+builds no successor, and counts each state's paths entry by entry (_last_pair).
 """
 
 from __future__ import annotations
@@ -43,6 +47,7 @@ from __future__ import annotations
 from collections import defaultdict
 from functools import lru_cache
 from itertools import product, zip_longest
+from math import prod
 from typing import NamedTuple
 
 from . import partitions as pt
@@ -155,18 +160,12 @@ class _Ctx:
 _new_context = lru_cache(maxsize=None)(lambda q, support: _Ctx(q, support, (_states, _down, {})))
 
 
-def _can_reach(state: tuple, goal: dict, r: int) -> bool:
-    """Cheap necessary condition for reaching goal (key -> rows) with r up-moves and
-    r - 1 down-moves left: each move shifts a row by at most one, so the goal's row
-    minus the state's lies in 1 - r .. r on every row of every key (a key outside a
-    support is empty).  At r = 1 the rule is exact: the goal adds at most one box to
-    each row of every key, and the last pair of a pinned walk relies on that."""
-    left = dict(goal)
-    return all(
-        1 - r <= want - have <= r
-        for key, rows in state
-        for want, have in zip_longest(left.pop(key, ()), rows, fillvalue=0)
-    ) and all(rows[0] <= r for rows in left.values())
+@lru_cache(maxsize=None)
+def _can_reach(rows, goal_rows, r):
+    """Whether rows can still become goal_rows with r up-moves and r - 1 down-moves left:
+    each move shifts a row by at most one, so goal row minus row lies in 1 - r .. r, and
+    at r = 1 the rule is exact.  Cached: a pinned sweep asks it of the same rows again."""
+    return all(1 - r <= want - have <= r for want, have in zip_longest(goal_rows, rows, fillvalue=0))
 
 
 def _pin_anonymous(label: Label) -> Label:
@@ -180,14 +179,33 @@ def _pin_anonymous(label: Label) -> Label:
 
 
 def _descend(ctx, states, target, r):
-    """Weights after one down-move, less the states that cannot reach target in r up-moves."""
+    """Weights after one down-move, less the states that cannot reach target (key -> rows)
+    in r up-moves: a kept state passes _can_reach on every entry and lacks no target key
+    whose first row is above r."""
     after_down = defaultdict(int)
     for st, w in states.items():
         for succ, c in ctx.down(st):
             after_down[succ] += w * c
     if target is None:
         return after_down
-    return {st: w for st, w in after_down.items() if _can_reach(st, target, r)}
+    needed, want = {k for k, rows in target.items() if rows[0] > r}, target.get
+    return {st: w for st, w in after_down.items()
+            if all(_can_reach(rows, want(k, ()), r) for k, rows in st) and needed.issubset(dict(st))}
+
+
+def _last_pair(states, target):
+    """Paths from states to target (key -> rows) by one down/up pair, key by key: the reach
+    rule is exact at r = 1, and one up-move takes a state that passes it to the all-named
+    target in one way, so a state's paths are the product of _ways_down over its entries."""
+    needed = {k for k, rows in target.items() if rows[0] > 1}
+    return sum(w * prod(_ways_down(rows, target.get(k, ())) for k, rows in st)
+               for st, w in states.items() if needed.issubset(dict(st)))
+
+
+@lru_cache(maxsize=None)
+def _ways_down(rows, goal_rows):
+    """The down-moves of rows from which one up-move reaches goal_rows."""
+    return sum(_can_reach(x, goal_rows, 1) for x in pt.down_set(rows))
 
 
 def _step(ctx, states, norm, target=None, r=0):
@@ -206,7 +224,11 @@ def zigzag_distribution(start: Label, m: int, q: int, target=None):
     their cuspidals apart from the fresh ones it draws.  A target is a state
     (canonical of an all-named label) of norm start.norm() + m."""
     ends = (canonical(start),) if target is None else (canonical(start), target)
-    support = tuple(sorted({k for e in ends for k, _ in e if k[0] == "named"}))
+    named = {k for e in ends for k, _ in e if k[0] == "named"}
+    try:
+        support = tuple(sorted(named))
+    except TypeError:  # tokens of one degree, from the two ends, that do not compare
+        raise BadParameters(f"tokens that do not compare: {sorted(map(repr, named))}") from None
     ctx = _Ctx(q, support) if target is None else _new_context(q, support)
     states = {ends[0]: 1}
     n0 = start.norm()
@@ -215,9 +237,8 @@ def zigzag_distribution(start: Label, m: int, q: int, target=None):
         states = _step(ctx, states, n0 + s, goal, m - s + 1)
     if target is None:
         return states
-    if m:  # one up-move takes each state _descend keeps at r = 1 to the target, one way
-        states = {target: sum(_descend(ctx, states, goal, 1).values())}
-    return {target: states[target]} if states.get(target) else {}
+    paths = _last_pair(states, goal) if m else states.get(target, 0)
+    return {target: paths} if paths else {}
 
 
 def count_zigzag(nu: Label, mu: Label, m: int, q: int) -> int:
@@ -230,9 +251,7 @@ def count_zigzag(nu: Label, mu: Label, m: int, q: int) -> int:
     if m < 0:
         raise BadParameters(f"step count must be non-negative, got {m}")
     if mu.norm() - nu.norm() != m:
-        raise BadParameters(
-            f"norm difference {mu.norm() - nu.norm()} != step count {m}"
-        )
+        raise BadParameters(f"norm difference {mu.norm() - nu.norm()} != step count {m}")
     target = canonical(_pin_anonymous(mu))
     return zigzag_distribution(_pin_anonymous(nu), m, q, target).get(target, 0)
 
@@ -261,24 +280,10 @@ class Decomposition(NamedTuple):
         return {e.shape: (e.multiplicity, e.class_size) for e in self.entries}
 
     def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "m": self.m,
-            "q": self.q,
-            "entries": [
-                {
-                    "shape": shape_to_json(e.shape),
-                    "mult": e.multiplicity,
-                    "class_size": e.class_size,
-                    "degree": str(e.degree),
-                }
-                for e in self.entries
-            ],
-            "checks": {
-                "sum_sq": self.sum_squares(),
-                "dim": str(self.dimension()),
-            },
-        }
+        entries = [{"shape": shape_to_json(e.shape), "mult": e.multiplicity,
+                    "class_size": e.class_size, "degree": str(e.degree)} for e in self.entries]
+        return {"n": self.n, "m": self.m, "q": self.q, "entries": entries,
+                "checks": {"sum_sq": self.sum_squares(), "dim": str(self.dimension())}}
 
 
 def decompose_perm_module(n: int, m: int, q: int) -> Decomposition:
@@ -302,14 +307,8 @@ def decompose_perm_module(n: int, m: int, q: int) -> Decomposition:
             raise InvariantViolated(
                 f"path weight {weight} of {state} is not a multiple of class size {cls}"
             )
-        entries.append(
-            DecompositionEntry(
-                shape=stable_shape,
-                multiplicity=weight // cls,
-                class_size=cls,
-                degree=degree_poly(Shape(iota, parts), q),
-            )
-        )
+        degree = degree_poly(Shape(iota, parts), q)
+        entries.append(DecompositionEntry(stable_shape, weight // cls, cls, degree))
     entries.sort(key=lambda e: e.shape.sort_key())
     dec = Decomposition(n=n, m=m, q=q, entries=tuple(entries))
     # the empty stable shape has norm 0, so it sorts first if present

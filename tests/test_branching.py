@@ -6,11 +6,11 @@ import random
 import subprocess
 import sys
 from collections import Counter
-from itertools import product
+from itertools import product, zip_longest
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 import glstab
@@ -345,25 +345,107 @@ small_labels = st.builds(
 ).filter(lambda s: s.norm() <= 7)
 
 
+def can_reach_reference(state: tuple, goal: dict, r: int) -> bool:
+    """Reference for the reach rule of _descend, one state at a time: with r up-moves
+    and r - 1 down-moves left, the goal's row minus the state's lies in 1 - r .. r on
+    every row of every key (a key outside a support is empty)."""
+    left = dict(goal)
+    return all(
+        1 - r <= want - have <= r
+        for key, rows in state
+        for want, have in zip_longest(left.pop(key, ()), rows, fillvalue=0)
+    ) and all(rows[0] <= r for rows in left.values())
+
+
+def _kept(ctx, states, goal, r):
+    """The states that _descend keeps of the down-moves of states."""
+    return set(branching._descend(ctx, dict.fromkeys(states, 1), goal, r))
+
+
 @given(small_labels, small_labels, st.integers(1, 4))
 def test_reach_rule_after_the_down_move(label, target, r):
     """With one up-move left the rule is arrow_up on every key; and a state with a
     down-successor that passes it passes the rule for a whole down/up pair,
     |row difference| <= r on every row of every key.  Each label has at most one
-    anonymous entry, so its state's keys name its entries."""
+    anonymous entry, so its state's keys name its entries.  A down-move may move
+    no box, so a state is one of its own successors."""
     state, goal = canonical(label), dict(canonical(target))
     keys = set(label.support()) | set(target.support())
+    ctx = branching._new_context(2, ())
     if r == 1:
-        assert branching._can_reach(state, goal, 1) == all(
+        assert (state in _kept(ctx, [state], goal, 1)) == all(
             arrow_up(label.get(k), target.get(k)) for k in keys
         )
-    down = branching._new_context(2, ()).down(state)
-    if any(branching._can_reach(succ, goal, r) for succ, _ in down):
+    if _kept(ctx, [state], goal, r):
         assert all(
             abs(row(label.get(k), i) - row(target.get(k), i)) <= r
             for k in keys
             for i in range(max(len(label.get(k)), len(target.get(k))))
         )
+
+
+REACH_KEYS = [IOTA, named_key(1, "a"), named_key(2, "b")]
+
+reach_states = st.builds(
+    lambda fixed, anon: tuple(sorted(fixed + anon)),
+    st.lists(
+        st.tuples(st.sampled_from(REACH_KEYS), _partition_of_size(1, 4)), max_size=3, unique_by=lambda e: e[0]
+    ),
+    st.lists(st.tuples(st.sampled_from([("anon", 1), ("anon", 2)]), _partition_of_size(1, 3)), max_size=3),
+)
+
+
+@given(
+    st.lists(reach_states, max_size=5),
+    st.dictionaries(st.sampled_from(REACH_KEYS + [named_key(1, "c")]), _partition_of_size(1, 5)),
+    st.integers(1, 4),
+)
+# each bound of the rule at its edge: a row r + 1 below the goal's, a row r - 1 above
+# it, a lacking key whose first row is r or r + 1, and repeated anonymous entries
+@example([((IOTA, (1,)),)], {IOTA: (3,)}, 1)
+@example([((IOTA, (2,)),)], {IOTA: (1,)}, 2)
+@example([((IOTA, (1,)),)], {IOTA: (1,), named_key(1, "c"): (1,)}, 1)
+@example([((IOTA, (1,)),)], {IOTA: (1,), named_key(1, "c"): (2,)}, 1)
+@example([((("anon", 1), (1,)), (("anon", 1), (1,)), (IOTA, (2,)))], {IOTA: (2, 1)}, 2)
+def test_descend_keeps_what_the_reference_rule_keeps(states, goal, r):
+    """_descend's per-row rule and its set of needed goal keys keep exactly the weighted
+    down-successors that can_reach_reference keeps, with repeated anonymous entries
+    and goal keys that a state lacks."""
+    ctx = branching._Ctx(2, ())
+    after_down = Counter()
+    for state in set(states):
+        for succ, c in ctx.down(state):
+            after_down[succ] += c
+    expected = {succ: w for succ, w in after_down.items() if can_reach_reference(succ, goal, r)}
+    assert branching._descend(ctx, dict.fromkeys(states, 1), goal, r) == expected
+
+
+@given(
+    st.lists(st.tuples(reach_states, st.integers(1, 5)), max_size=5),
+    st.dictionaries(st.sampled_from(REACH_KEYS + [named_key(1, "c")]), _partition_of_size(1, 4)),
+)
+@example([(((IOTA, (2,)), (named_key(1, "a"), (1,))), 3)], {IOTA: (2,), named_key(1, "c"): (1,)})
+@example([(((IOTA, (2,)),), 1)], {IOTA: (2,), named_key(1, "c"): (2,)})
+@example([(((("anon", 1), (1,)), (("anon", 1), (1,)), (IOTA, (2,))), 2)], {IOTA: (2,)})
+def test_last_pair_counts_what_the_reference_rule_keeps(weighted, goal):
+    """_last_pair's product over entries is the total weight of the down-successors that
+    can_reach_reference keeps at r = 1, with repeated anonymous entries and goal keys
+    that a state lacks."""
+    states = dict(weighted)
+    ctx = branching._Ctx(2, ())
+    kept = 0
+    for state, w in states.items():
+        kept += sum(w * c for succ, c in ctx.down(state) if can_reach_reference(succ, goal, 1))
+    assert branching._last_pair(states, goal) == kept
+
+
+def test_ends_with_tokens_that_do_not_compare_are_refused():
+    """Named tokens of one degree from the two ends must compare, as within one Label;
+    of different degrees they need not."""
+    nu = Label({named_key(1, 1): (1,)})
+    with pytest.raises(BadParameters, match="do not compare"):
+        count_zigzag(nu, Label({IOTA: (1,), named_key(1, "a"): (1,)}), 1, 5)
+    assert count_zigzag(nu, Label({named_key(1, 1): (1,), named_key(2, "a"): (1,)}), 2, 5) >= 0
 
 
 def test_pins_never_meet_a_callers_name():
@@ -420,8 +502,9 @@ def test_renaming_named_tokens_keeps_the_count(nu, mu, names, q):
 
 @pytest.mark.parametrize("q", [2, 3])
 def test_last_pair_stops_after_the_down_move(q):
-    """A cold pinned count memoises no up-move into its target's norm: the target is
-    all named, so the last pair's up-move is _can_reach at r = 1, never a list."""
+    """A cold pinned count memoises no up-move into its target's norm and no down-move of
+    the last pair's states: the target is all named, so the last pair is counted by the
+    reach rule at r = 1 entry by entry, never a list."""
     for m, iota in [(1, (1,)), (2, (3, 1)), (3, (6, 1))]:
         mu = Label({IOTA: iota, anon_key(2, 0): (1,)})
         n = mu.norm()
@@ -429,7 +512,7 @@ def test_last_pair_stops_after_the_down_move(q):
         assert count_zigzag(trivial_label(n - m), mu, m, q) > 0
         assert branching._new_context.cache_info().currsize == 1
         ctx = _pinned_context(q, branching._pin_anonymous(mu))
-        assert bool(ctx._up_memo) == (m > 1)
+        assert bool(ctx._up_memo) == bool(branching._down) == (m > 1)
         assert all(norm < n for _, norm in ctx._up_memo), m
 
 
@@ -635,13 +718,14 @@ def test_target_pruning_drops_no_path(monkeypatch):
     """count_zigzag equals the target's weight in the unpruned pinned walk on every
     pair of shape representatives with norms ell <= 2 and m <= 3, and it checks
     reachability only while up-moves are left."""
-    can_reach, ups_left = branching._can_reach, []
+    descend, ups_left = branching._descend, []
 
-    def recorded(state, goal, r):
-        ups_left.append(r)
-        return can_reach(state, goal, r)
+    def recorded(ctx, states, goal, r):
+        if goal is not None:
+            ups_left.append(r)
+        return descend(ctx, states, goal, r)
 
-    monkeypatch.setattr(branching, "_can_reach", recorded)
+    monkeypatch.setattr(branching, "_descend", recorded)
     pairs, bad = 0, []
     for q in (2, 3):
         for ell in range(3):

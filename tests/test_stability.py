@@ -5,7 +5,7 @@ import pytest
 from glstab.branching import (
     Decomposition,
     DecompositionEntry,
-    _can_reach,
+    _descend,
     _new_context,
     _pin_anonymous,
     decompose_perm_module,
@@ -119,7 +119,7 @@ def margin_walk(m, q, tail, n):
     states, visited, holds = {canonical(nu)}, 0, True
     for s in range(1, m + 1):
         after_down = {succ for st in states for succ, _ in ctx.down(st)}
-        kept = {st for st in after_down if _can_reach(st, goal, m - s + 1)}
+        kept = _descend(ctx, dict.fromkeys(states, 1), goal, m - s + 1)
         if s < m:
             states = {succ for st in kept for succ, _ in ctx.up(st, nu.norm() + s)}
         else:
