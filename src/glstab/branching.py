@@ -16,7 +16,8 @@ multiplicity of nu in the restriction of mu is count_zigzag(nu, mu, 1, q).
 Both moves are flat: a down-move is one product over the entries' down_sets;
 an up-move folds the keys that may grow into (items, budget left) pairs, and
 each takes fresh anonymous columns from one cache keyed by (q, cuspidals used
-per degree, budget).  _step is one down/up pair.
+per degree, budget), which leaves out the degrees whose pools are spent.  _step
+is one down/up pair.
 
 A state is labels.canonical's form: a tuple of (key, rows) entries, sorted,
 whose anonymous keys ("anon", degree) carry no slot, so equal anonymous entries
@@ -29,17 +30,18 @@ outlive a walk only where they pay.  A walk with a target is a pinned count,
 which sweeps repeat by the hundred: its context, one per (q, sorted pinned
 support) from _new_context, memoises up-moves as (state, weight) pairs, the
 one _down table holds each state's down-moves, which read neither, and _states
-interns each state once.  A walk without a target builds its own context: it
-interns its states for itself and memoises nothing, so all it holds goes when
-the walk returns.  Walk n + 1 of a stability sweep takes walk n's moves a step
-later, but a memo across the sweep saved no time: the GC's scans of it cost what
-it saved.  A pinned walk prunes, after each down-move, the states that cannot
-reach its target.  The rule reads one key's rows at a time: with r up-moves left,
-_can_reach bounds each row's gap to the target's by 1 - r .. r, and a target key
-that a state lacks is empty there, so one set per step holds the target keys whose
-first row is above r.  The rule is exact at r = 1 and the target is all named, so
-one up-move takes a state that passes it to the target in one way: the last pair
-builds no successor, and counts each state's paths entry by entry (_last_pair).
+interns each state once.  A walk without a target builds its own context, which
+holds no table: a move returns its dict's items, _step's dicts keep one object per
+state, and all the walk holds goes when it returns.  Walk n + 1 of a stability
+sweep takes walk n's moves a step later, but a memo across the sweep saved no
+time: the GC's scans of it cost what it saved.  A pinned walk prunes, after each
+down-move, the states that cannot reach its target.  The rule reads one key's rows
+at a time: with r up-moves left, _can_reach bounds each row's gap to the target's
+by 1 - r .. r, and a target key that a state lacks is empty there, so one set per
+step holds the target keys whose first row is above r.  The rule is exact at r = 1
+and the target is all named, so one up-move takes a state that passes it to the
+target in one way: the last pair builds no successor, and counts each state's
+paths entry by entry (_last_pair).
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ from typing import NamedTuple
 
 from . import partitions as pt
 from .degrees import degree_poly, prime_power, vic_hom_count
-from .errors import BadParameters, InvariantViolated
+from .errors import BadParameters, InvariantViolated, integer
 from .labels import (
     IOTA,
     Label,
@@ -75,15 +77,18 @@ from .labels import (
 def _fresh_columns(q, used, budget):
     """(columns, draw weight) pairs, weight nonzero, of fresh anonymous columns filling
     budget; used lists (degree, cuspidals in use).  Each columns tuple holds
-    (("anon", degree), rows) items."""
+    (("anon", degree), rows) items.  A pool that used exhausts is left out (draws weighs
+    it 0); an over-used one reaches draws, which raises."""
+    used = dict(used)
     cols = sorted(
-        ((d, k) for d in range(1, budget + 1) for k in range(1, budget // d + 1)),
+        ((d, k) for d in range(1, budget + 1) if pool_size(d, q) != used.get(d, 0)
+         for k in range(1, budget // d + 1)),
         reverse=True,
     )
     return tuple(
         (tuple((("anon", d), (1,) * k) for d, k in multiset), w)
         for multiset in weighted_multisets([(d * k, (d, k)) for d, k in cols], budget)
-        if (w := draws(multiset, q, dict(used)))
+        if (w := draws(multiset, q, used))
     )
 
 
@@ -94,8 +99,8 @@ _down = {}  # state -> its down-moves, for every shared context
 class _Ctx:
     """Transitions for one (q, sorted pinned support) over its tables (interned states,
     down memo, up memo): _new_context passes the shared ones; a context built directly
-    interns its states for its own walk and memoises nothing.  A refused support
-    raises, so the cache does not keep it."""
+    holds no table, and its moves are fresh dict items.  A refused support raises, so
+    the cache does not keep it."""
 
     def __init__(self, q, named_context, tables=None):
         self.q = q
@@ -106,15 +111,15 @@ class _Ctx:
                 raise BadParameters(
                     f"labels need {used} distinct degree-{d} cuspidals; q={q} has {pool_size(d, q)}"
                 )
-        self._states, self._down, self._up_memo = tables or ({}, None, None)
+        self._states, self._down, self._up_memo = tables or (None, None, None)
 
     def _keep(self, memo, key, out):
-        """out (state -> weight) as (state, weight) pairs over interned states; memo[key]
-        keeps them if there is a memo."""
+        """out (state -> weight)'s items; with a memo, memo[key] keeps them as
+        (state, weight) pairs over interned states."""
+        if memo is None:
+            return out.items()
         intern = self._states.setdefault
-        pairs = tuple((intern(s, s), w) for s, w in out.items())
-        if memo is not None:
-            memo[key] = pairs
+        memo[key] = pairs = tuple((intern(s, s), w) for s, w in out.items())
         return pairs
 
     def down(self, state: tuple):
@@ -248,7 +253,7 @@ def count_zigzag(nu: Label, mu: Label, m: int, q: int) -> int:
     restriction of the one labelled mu.
     """
     prime_power(q)
-    if m < 0:
+    if integer("m", m) < 0:
         raise BadParameters(f"step count must be non-negative, got {m}")
     if mu.norm() - nu.norm() != m:
         raise BadParameters(f"norm difference {mu.norm() - nu.norm()} != step count {m}")
@@ -289,7 +294,7 @@ class Decomposition(NamedTuple):
 def decompose_perm_module(n: int, m: int, q: int) -> Decomposition:
     """Irreducible decomposition of k[G_n/G_{n-m}], in stable coordinates."""
     prime_power(q)
-    if not 0 <= m <= n:
+    if not 0 <= integer("m", m) <= integer("n", n):
         raise BadParameters(f"need 0 <= m <= n, got n={n}, m={m}")
     dist = zigzag_distribution(trivial_label(n - m), m, q)
     entries = []

@@ -13,10 +13,11 @@ dict.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import prod
 
 from . import partitions as pt
-from .errors import BadParameters, GuardExceeded, InvariantViolated
+from .errors import BadParameters, GuardExceeded, InvariantViolated, integer
 
 
 # Miller-Rabin bases: the least strong pseudoprime to all twelve is about
@@ -45,9 +46,7 @@ def _is_prime(n) -> bool:
 
 def prime_power(q):
     """Return (p, k) with q = p**k, or raise BadParameters; q must be below 2**64."""
-    if not isinstance(q, int):
-        raise BadParameters(f"q must be an integer, got {q!r}")
-    if q >= 2**64:
+    if integer("q", q) >= 2**64:
         raise BadParameters("q must be below 2**64")
     for k in range(1, max(q, 1).bit_length()):
         # below 2**64 the rounded float root is exact whenever q is a k-th power
@@ -88,6 +87,12 @@ def cuspidal_count(d, q) -> int:
     return count
 
 
+@lru_cache(maxsize=None)
+def _part_terms(rows, d):
+    """A degree-d part's d * n(rows), d * |rows| and hook exponents d * h."""
+    return d * pt.n_stat(rows), d * sum(rows), tuple(d * h for h in pt.hooks(rows))
+
+
 def degree_poly(shape, q) -> int:
     """Green degree at q of the irreducible whose full label has this `Shape` (Green,
     Trans. AMS 1955; Macdonald, Symmetric Functions and Hall Polynomials, Ch. IV):
@@ -98,12 +103,11 @@ def degree_poly(shape, q) -> int:
     each part of degree d.  The shape here describes a full label at its own
     norm (the iota entry is the padded partition, not a stable tail).
     """
-    parts = [(1, shape.iota)] if shape.iota else []
-    parts += list(shape.parts)
-    shift = sum(d * pt.n_stat(rows) for d, rows in parts)
-    hook_exps = tuple(d * h for d, rows in parts for h in pt.hooks(rows))
+    terms = [_part_terms(rows, d) for d, rows in ((1, shape.iota), *shape.parts) if rows]
+    shift, norm = sum(t[0] for t in terms), sum(t[1] for t in terms)
+    hook_exps = tuple(e for t in terms for e in t[2])
     # equal factors q^e - 1 cancel first; the reduced quotient is integral iff the original is
-    ups, downs = set(range(1, shape.norm() + 1)), []
+    ups, downs = set(range(1, norm + 1)), []
     for e in hook_exps:
         if e in ups:
             ups.remove(e)
@@ -113,7 +117,7 @@ def degree_poly(shape, q) -> int:
     if rem:
         raise InvariantViolated(
             f"inexact Green degree quotient at q={q}: shift={shift},"
-            f" norm={shape.norm()}, hook exponents={hook_exps}"
+            f" norm={norm}, hook exponents={hook_exps}"
         )
     return deg
 

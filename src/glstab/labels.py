@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 from . import partitions as pt
 from .degrees import cuspidal_count
-from .errors import BadParameters, GuardExceeded, InvariantViolated
+from .errors import BadParameters, GuardExceeded, InvariantViolated, integer
 
 IOTA = ("iota", 1, 0)
 
@@ -118,7 +118,7 @@ def canonical(label: Label) -> tuple:
 
 def trivial_label(n) -> Label:
     """The label of the trivial representation of G_n."""
-    if n < 0:
+    if integer("n", n) < 0:
         raise BadParameters("n must be non-negative")
     return Label({IOTA: (n,)}) if n else EMPTY_LABEL
 
@@ -172,10 +172,10 @@ def part_order(part):
 
 def make_shape(iota=(), parts=()) -> Shape:
     iota = pt.as_partition(iota)
-    parts = tuple(sorted(((int(d), pt.as_partition(rows)) for d, rows in parts), key=part_order))
+    parts = sorted(((integer("degree", d), pt.as_partition(rows)) for d, rows in parts), key=part_order)
     if any(d < 1 or not rows for d, rows in parts):
         raise BadParameters("shape parts must be nonempty with degree >= 1")
-    return Shape(iota, parts)
+    return Shape(iota, tuple(parts))
 
 
 def shape_of(label: Label) -> Shape:
@@ -232,15 +232,18 @@ def draws(parts, q, used=None) -> int:
     return total
 
 
+_class_size = lru_cache(maxsize=None)(draws)  # (parts, q): later decompositions ask again
+
+
 def class_size(shape: Shape, q: int) -> int:
     """Number of concrete label functions with the given shape at field size q.
 
     Distinct anonymous cuspidals of each degree are drawn without repetition
     from the pool at q; iota is excluded from the degree-1 pool.
     """
-    if q < 2:
+    if integer("q", q) < 2:
         raise BadParameters("q must be >= 2")
-    return draws(shape.parts, q)
+    return _class_size(tuple(shape.parts), q)
 
 
 def weighted_multisets(items, budget):

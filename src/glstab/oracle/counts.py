@@ -30,7 +30,7 @@ from __future__ import annotations
 from itertools import combinations, count, product
 
 from ..degrees import gl_order, prime_power, vic_hom_count
-from ..errors import BadParameters, GuardExceeded, InvariantViolated
+from ..errors import BadParameters, GuardExceeded, InvariantViolated, integer
 from .fields import field
 from .orbits import orbit_partition
 
@@ -47,6 +47,7 @@ def space_size(m, n, q) -> int:
     q**(m*(2n-m-1)) >= 2**bits (q**n - q**i >= q**(n-1)); past 2**16 bits no count
     prints in decimal, so refuse on that bound, not an m*n*log2(q)-bit product."""
     prime_power(q)  # refuses a q that is no prime power before q.bit_length() is read
+    integer("m", m), integer("n", n)
     bits = m * (2 * n - m - 1) * (q.bit_length() - 1)
     if bits > 2**16:
         raise GuardExceeded("morphism space exceeds guard", m=m, n=n, q=q, count=f">= 2**{bits}")

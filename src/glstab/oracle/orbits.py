@@ -1,13 +1,11 @@
 """Orbit counting over numbered points.
 
-The one orbit search is a breadth-first closure over numbers a*w + b: a
-generator is a pair of lists (outer, inner) sending a*w + b to outer[a] +
-inner[b].  An image that is not a point raises InvariantViolated.
+The one orbit search is a closure over numbers a*w + b, grown from a list used
+as a stack: a generator is a pair of lists (outer, inner) sending a*w + b to
+outer[a] + inner[b].  An image that is not a point raises InvariantViolated.
 """
 
 from __future__ import annotations
-
-from collections import deque
 
 from ..errors import InvariantViolated
 
@@ -15,10 +13,11 @@ NOT_A_POINT = -2  # the label of a number that no point has; -1 is a point not r
 
 
 def orbit_partition(numbers, size, actions):
-    """BFS closure over the points `numbers` (distinct, below `size`); returns
+    """Closure over the points `numbers` (distinct, below `size`); returns
     (representatives, labels).  An action (outer, inner) sends a*w + b to
     outer[a] + inner[b], w = len(inner); labels[x] is the orbit index of x, or
-    NOT_A_POINT when x is no point."""
+    NOT_A_POINT when x is no point.  Orbits are numbered in the order of their least
+    point, so the order in which an orbit is closed changes no output."""
     labels = [NOT_A_POINT] * size
     for x in numbers:
         labels[x] = -1
@@ -33,9 +32,11 @@ def orbit_partition(numbers, size, actions):
         orbit_id = len(reps)
         reps.append(start)
         labels[start] = orbit_id
-        frontier = deque((start,))
+        frontier = [start]
+        pop, push = frontier.pop, frontier.append
         while frontier:
-            a, b = divmod(frontier.popleft(), w)
+            a = (x := pop()) // w
+            b = x - a * w
             for outer, inner in actions:
                 img = outer[a] + inner[b]
                 seen = labels[img]
@@ -43,5 +44,5 @@ def orbit_partition(numbers, size, actions):
                     if seen == NOT_A_POINT:
                         raise InvariantViolated(f"image {img} of a point is not a point")
                     labels[img] = orbit_id
-                    frontier.append(img)
+                    push(img)
 

@@ -14,14 +14,14 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import groupby
 
-from .errors import BadParameters, GuardExceeded
+from .errors import BadParameters, GuardExceeded, integer
 
 ENUM_BOUND = 60
 
 
 def as_partition(rows) -> tuple:
     """Canonicalize an iterable of row lengths, dropping trailing zeros."""
-    rows = tuple(int(r) for r in rows)
+    rows = tuple(integer("a row", r) for r in rows)
     while rows and rows[-1] == 0:
         rows = rows[:-1]
     if any(r < 1 for r in rows):

@@ -7,7 +7,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .branching import Decomposition, count_zigzag, decompose_perm_module
-from .errors import BadParameters
+from .errors import BadParameters, integer
 from .labels import Label, pad, trivial_label
 
 
@@ -40,7 +40,7 @@ class StabilityReport(NamedTuple):
 
 def empirical_stability_degree(m: int, q: int, n_max: int) -> StabilityReport:
     """Decompose for every n in [m, n_max] and locate the onset of constancy."""
-    if n_max < 3 * m:
+    if integer("n_max", n_max) < 3 * integer("m", m):
         raise BadParameters(f"n_max={n_max} must be >= 3m={3 * m}")
     sizes = range(m, n_max + 1)
     by_n = {n: decompose_perm_module(n, m, q) for n in sizes}

@@ -10,7 +10,7 @@ from itertools import product, zip_longest
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, example, given
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import glstab
@@ -18,7 +18,7 @@ import glstab.branching as branching
 from glstab import partitions as pt
 from glstab.branching import count_zigzag, decompose_perm_module, zigzag_distribution
 from glstab.degrees import gl_order
-from glstab.errors import BadParameters
+from glstab.errors import BadParameters, InvariantViolated
 from glstab.labels import (
     IOTA,
     Label,
@@ -34,7 +34,10 @@ from glstab.labels import (
     pool_size,
     shape_of,
     trivial_label,
+    weighted_multisets,
 )
+from glstab.oracle.counts import double_cosets_gl
+from glstab.stability import empirical_stability_degree
 from test_partitions import arrow_up, row
 
 
@@ -554,12 +557,76 @@ def test_shared_tables_are_history_independent():
 
 @pytest.mark.parametrize("n,m,q", [(9, 3, 3), (12, 4, 2)])
 def test_decomposition_is_independent_of_the_caches(n, m, q):
-    """The per-partition and per-pool caches only save work: emptying them between
-    two decompositions changes nothing."""
+    """The per-partition, per-part, per-class and per-pool caches only save work:
+    emptying them between two decompositions changes nothing."""
     first = decompose_perm_module(n, m, q)
-    for cached in (pt.down_set, pt.up_set, pt.hooks, branching._fresh_columns, pool_size):
+    for cached in (pt.down_set, pt.up_set, pt.hooks, branching._fresh_columns, pool_size,
+                   glstab.labels._class_size, glstab.degrees._part_terms):
         cached.cache_clear()
     assert decompose_perm_module(n, m, q) == first
+
+
+def fresh_columns_reference(q, used, budget):
+    """Fresh columns before the exhausted pools were left out: every multiset of
+    columns (degree d, k rows of length 1) filling budget, kept when draws weighs it
+    nonzero."""
+    cols = sorted(((d, k) for d in range(1, budget + 1) for k in range(1, budget // d + 1)),
+                  reverse=True)
+    return tuple(
+        (tuple((("anon", d), (1,) * k) for d, k in multiset), w)
+        for multiset in weighted_multisets([(d * k, (d, k)) for d, k in cols], budget)
+        if (w := draws(multiset, q, dict(used)))
+    )
+
+
+@st.composite
+def fresh_column_requests(draw):
+    """(q, used, budget) as _Ctx.up asks: used lists (degree, cuspidals in use), each
+    count from 1 up to the whole pool."""
+    q = draw(st.sampled_from([2, 3, 4, 5, 7, 8, 9]))
+    degrees = draw(st.lists(st.integers(1, 8), unique=True, max_size=4))
+    used = tuple(sorted((d, draw(st.integers(1, pool_size(d, q))))
+                        for d in degrees if pool_size(d, q)))
+    return q, used, draw(st.integers(0, 8))
+
+
+@settings(max_examples=300)
+@given(fresh_column_requests())
+@example((2, (), 6))
+@example((3, ((1, 1),), 5))
+@example((4, ((1, 2), (2, 6)), 8))
+@example((3, ((1, 1), (2, 3), (3, 8)), 8))
+def test_fresh_columns_leave_out_only_what_draws_drops(asked):
+    """Leaving out the degrees whose pools the used cuspidals exhaust keeps exactly the
+    weighted columns of the full enumeration, as the same tuple in the same order."""
+    assert branching._fresh_columns(*asked) == fresh_columns_reference(*asked)
+
+
+@pytest.mark.parametrize("q,used,budget", [(2, ((1, 1),), 1), (3, ((1, 2), (2, 1)), 3),
+                                           (4, ((2, 7),), 5)])
+def test_fresh_columns_refuse_an_over_used_pool(q, used, budget):
+    """A count above a pool still reaches draws, which raises."""
+    with pytest.raises(InvariantViolated):
+        branching._fresh_columns(q, used, budget)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: trivial_label(2.5),
+    lambda: decompose_perm_module(3.5, 1, 2),
+    lambda: decompose_perm_module(3.0, 1, 2),
+    lambda: double_cosets_gl(3.0, 1, 2),
+    lambda: double_cosets_gl(3, 1.0, 2),
+    lambda: count_zigzag(trivial_label(2), trivial_label(3), 1.0, 2),
+    lambda: empirical_stability_degree(1.0, 2, 4),
+    lambda: make_shape((), [(1.5, (1,))]),
+    lambda: make_shape((2.0,), ()),
+], ids=["trivial_label", "decompose-3.5", "decompose-3.0", "double_cosets-n", "double_cosets-m",
+        "count_zigzag", "stability", "make_shape-degree", "make_shape-row"])
+def test_non_integer_sizes_are_refused(call):
+    """A size, step count, degree or row that is not an int is refused by the rule that
+    refuses such a q, not truncated and not answered."""
+    with pytest.raises(BadParameters, match="must be an integer"):
+        call()
 
 
 def test_walk_without_target_keeps_no_shared_tables():
@@ -593,7 +660,7 @@ small_supported_labels = st.builds(
 @given(small_supported_labels, st.sampled_from([2, 3, 4]))
 def test_direct_context_agrees_with_the_shared_one(label, q):
     """A context built directly gives the shared context's moves, writes no shared
-    table, and interns its states: equal states from two moves are one object."""
+    table, and holds no table of its own."""
     per_degree = Counter(key_degree(k) for k in label.support() if k != IOTA)
     assume(all(used <= pool_size(d, q) for d, used in per_degree.items()))
     support = tuple(k for k in label.support() if k[0] == "named")
@@ -603,10 +670,7 @@ def test_direct_context_agrees_with_the_shared_one(label, q):
     moves = [direct.down(state)] + [direct.up(state, norm) for norm in norms]
     moves += [direct.up(succ, label.norm()) for succ, _ in moves[0]]
     assert not branching._states and not branching._down
-    interned = {}
-    for pairs in moves:
-        for succ, _ in pairs:
-            assert interned.setdefault(succ, succ) is succ
+    assert (direct._states, direct._down, direct._up_memo) == (None, None, None)
     shared = branching._new_context(q, support)
 
     def as_counter(pairs):

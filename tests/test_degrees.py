@@ -5,6 +5,7 @@ from math import prod
 
 import pytest
 
+from glstab import degrees
 from glstab import partitions as pt
 from glstab.degrees import (
     cuspidal_count,
@@ -102,10 +103,16 @@ def test_integer_degree_equals_polynomial_quotient():
 
 
 def test_inexact_degree_quotient_raises(monkeypatch):
-    # a hook of length 2 on a one-box label: (q - 1) / (q^2 - 1) is not an integer
+    # a hook of length 2 on a one-box label: (q - 1) / (q^2 - 1) is not an integer.
+    # The per-part cache is emptied around the patch: before it, so the patched hooks
+    # are read, and after it, so no term of the patch outlives the test.
+    degrees._part_terms.cache_clear()
     monkeypatch.setattr(pt, "hooks", lambda rows: (2,))
-    with pytest.raises(InvariantViolated):
-        degree_poly(make_shape((1,), ()), 2)
+    try:
+        with pytest.raises(InvariantViolated):
+            degree_poly(make_shape((1,), ()), 2)
+    finally:
+        degrees._part_terms.cache_clear()
 
 
 def test_gl_orders():
