@@ -35,13 +35,12 @@ holds no table: a move returns its dict's items, _step's dicts keep one object p
 state, and all the walk holds goes when it returns.  Walk n + 1 of a stability
 sweep takes walk n's moves a step later, but a memo across the sweep saved no
 time: the GC's scans of it cost what it saved.  A pinned walk prunes, after each
-down-move, the states that cannot reach its target.  The rule reads one key's rows
-at a time: with r up-moves left, _can_reach bounds each row's gap to the target's
-by 1 - r .. r, and a target key that a state lacks is empty there, so one set per
-step holds the target keys whose first row is above r.  The rule is exact at r = 1
-and the target is all named, so one up-move takes a state that passes it to the
-target in one way: the last pair builds no successor, and counts each state's
-paths entry by entry (_last_pair).
+down-move, the states that cannot reach its target, one key's rows at a time
+(_reaching, which stops at a state's first failing entry): with r up-moves left,
+_can_reach bounds each row's gap to the target's by 1 - r .. r, and a target key
+that a state lacks is empty there.  The rule is exact at r = 1 and the target is all
+named, so one up-move takes a state that passes it to the target in one way: the
+last pair builds no successor, and counts each state's paths entry by entry.
 """
 
 from __future__ import annotations
@@ -49,7 +48,6 @@ from __future__ import annotations
 from collections import defaultdict
 from functools import lru_cache
 from itertools import product, zip_longest
-from math import prod
 from typing import NamedTuple
 
 from . import partitions as pt
@@ -174,9 +172,11 @@ def _can_reach(rows, goal_rows, r):
 
 
 def _pin_anonymous(label: Label) -> Label:
-    """Give anonymous keys a concrete named identity (to fix an endpoint): slot i
-    becomes token (True, i) and a caller's token t becomes (False, t), so slot i
-    is one cuspidal at both ends of a walk and never one that a caller named."""
+    """The label with its non-iota keys named apart, to fix an endpoint: slot i becomes
+    token (True, i) and a caller's token t becomes (False, t), so slot i is one cuspidal at
+    both ends of a walk and never one a caller named.  Iota alone is returned as it is."""
+    if label.support() in ((), (IOTA,)):
+        return label
     return Label(
         (k if k == IOTA else named_key(k[1], (k[0] == "anon", k[2])), rows)
         for k, rows in label.entries
@@ -185,32 +185,39 @@ def _pin_anonymous(label: Label) -> Label:
 
 def _descend(ctx, states, target, r):
     """Weights after one down-move, less the states that cannot reach target (key -> rows)
-    in r up-moves: a kept state passes _can_reach on every entry and lacks no target key
-    whose first row is above r."""
+    in r up-moves."""
     after_down = defaultdict(int)
     for st, w in states.items():
         for succ, c in ctx.down(st):
             after_down[succ] += w * c
-    if target is None:
-        return after_down
+    return after_down if target is None else dict(_reaching(after_down, target, r, _can_reach))
+
+
+def _reaching(states, target, r, ways):
+    """(state, weight times ways(rows, target rows, r) over its entries) for the states that
+    have no factor 0 and lack no target key whose first row is above r."""
     needed, want = {k for k, rows in target.items() if rows[0] > r}, target.get
-    return {st: w for st, w in after_down.items()
-            if all(_can_reach(rows, want(k, ()), r) for k, rows in st) and needed.issubset(dict(st))}
+    for st, w in states.items():
+        missing = len(needed)
+        for k, rows in st:
+            w, missing = w * ways(rows, want(k, ()), r), missing - (k in needed)
+            if not w:
+                break
+        if w and not missing:
+            yield st, w
 
 
 def _last_pair(states, target):
     """Paths from states to target (key -> rows) by one down/up pair, key by key: the reach
     rule is exact at r = 1, and one up-move takes a state that passes it to the all-named
     target in one way, so a state's paths are the product of _ways_down over its entries."""
-    needed = {k for k, rows in target.items() if rows[0] > 1}
-    return sum(w * prod(_ways_down(rows, target.get(k, ())) for k, rows in st)
-               for st, w in states.items() if needed.issubset(dict(st)))
+    return sum(w for _, w in _reaching(states, target, 1, _ways_down))
 
 
 @lru_cache(maxsize=None)
-def _ways_down(rows, goal_rows):
-    """The down-moves of rows from which one up-move reaches goal_rows."""
-    return sum(_can_reach(x, goal_rows, 1) for x in pt.down_set(rows))
+def _ways_down(rows, goal_rows, r):
+    """The down-moves of rows after which _can_reach(x, goal_rows, r) holds."""
+    return sum(_can_reach(x, goal_rows, r) for x in pt.down_set(rows))
 
 
 def _step(ctx, states, norm, target=None, r=0):

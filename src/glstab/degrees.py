@@ -46,7 +46,12 @@ def _is_prime(n) -> bool:
 
 def prime_power(q):
     """Return (p, k) with q = p**k, or raise BadParameters; q must be below 2**64."""
-    if integer("q", q) >= 2**64:
+    return _prime_power(integer("q", q))
+
+
+@lru_cache(maxsize=None)  # only ints reach it: 4.0 is refused before, never served 4's entry
+def _prime_power(q):
+    if q >= 2**64:
         raise BadParameters("q must be below 2**64")
     for k in range(1, max(q, 1).bit_length()):
         # below 2**64 the rounded float root is exact whenever q is a k-th power
@@ -89,8 +94,9 @@ def cuspidal_count(d, q) -> int:
 
 @lru_cache(maxsize=None)
 def _part_terms(rows, d):
-    """A degree-d part's d * n(rows), d * |rows| and hook exponents d * h."""
-    return d * pt.n_stat(rows), d * sum(rows), tuple(d * h for h in pt.hooks(rows))
+    """A degree-d part's d * n(rows), d * |rows| and hook exponents d * h (hooks' own at d = 1)."""
+    hooks = pt.hooks(rows)
+    return d * pt.n_stat(rows), d * sum(rows), hooks if d == 1 else tuple(d * h for h in hooks)
 
 
 def degree_poly(shape, q) -> int:

@@ -35,8 +35,9 @@ def key_degree(key) -> int:
     return key[1]
 
 
-def _key_sort(key):
-    return (_KIND_RANK[key[0]], key[1], key[2])
+def _entry_order(entry):  # Label's order of (key, rows) entries: kind, degree, then token
+    kind, degree, tag = entry[0]
+    return _KIND_RANK[kind], degree, tag
 
 
 def _unordered(a, b) -> bool:
@@ -63,7 +64,7 @@ class Label:
             if rows:
                 cleaned.append((key, rows))
         try:
-            cleaned.sort(key=lambda kv: _key_sort(kv[0]))
+            cleaned.sort(key=_entry_order)
         except TypeError:  # tokens of one kind and degree that do not compare
             clash = ", ".join(sorted({repr(k) for k, _ in cleaned for j, _ in cleaned
                                       if k[:2] == j[:2] and _unordered(k[2], j[2])}))

@@ -20,13 +20,14 @@ ENUM_BOUND = 60
 
 
 def as_partition(rows) -> tuple:
-    """Canonicalize an iterable of row lengths, dropping trailing zeros."""
-    rows = tuple(integer("a row", r) for r in rows)
+    """Canonicalize an iterable of int row lengths (errors.integer), dropping trailing zeros."""
+    if not set(map(type, rows := tuple(rows))) <= {int}:  # else errors.integer, row by row
+        rows = tuple(integer("a row", r) for r in rows)
     while rows and rows[-1] == 0:
         rows = rows[:-1]
-    if any(r < 1 for r in rows):
+    if rows and min(rows) < 1:
         raise BadParameters(f"negative or interior-zero row in {rows}")
-    if any(rows[i] < rows[i + 1] for i in range(len(rows) - 1)):
+    if any(map(int.__lt__, rows, rows[1:])):
         raise BadParameters(f"rows not weakly decreasing: {rows}")
     return rows
 

@@ -442,6 +442,35 @@ def test_last_pair_counts_what_the_reference_rule_keeps(weighted, goal):
     assert branching._last_pair(states, goal) == kept
 
 
+def test_reaching_stops_at_a_states_first_failing_entry():
+    """_reaching reads a state's entries in order and no further than the first whose
+    factor is 0; a state that passes every entry but lacks a needed target key is
+    dropped too."""
+    asked = []
+
+    def ways(rows, goal_rows, r):
+        asked.append(rows)
+        return 0 if rows == (5,) else 2
+
+    failing = ((IOTA, (5,)), (named_key(1, "a"), (1,)))
+    lacking = ((IOTA, (1,)),)
+    passing = ((IOTA, (1,)), (named_key(1, "a"), (1,)))
+    goal = {IOTA: (1,), named_key(1, "a"): (3,)}
+    states = {failing: 1, lacking: 1, passing: 3}
+    assert list(branching._reaching(states, goal, 2, ways)) == [(passing, 12)]
+    assert asked == [(5,), (1,), (1,), (1,)]
+
+
+@pytest.mark.parametrize("k", [0, 1, 4])
+def test_pinning_an_iota_only_label_returns_it(k):
+    """A label of iota alone has no key to rename, so pinning returns the label itself;
+    a label with another key is rebuilt with that key named."""
+    label = trivial_label(k)
+    assert branching._pin_anonymous(label) is label
+    assert branching._pin_anonymous(Label({IOTA: (k + 1,), anon_key(1, 0): (1,)})).support() == (
+        IOTA, named_key(1, (True, 0)))
+
+
 def test_ends_with_tokens_that_do_not_compare_are_refused():
     """Named tokens of one degree from the two ends must compare, as within one Label;
     of different degrees they need not."""

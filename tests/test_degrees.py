@@ -7,6 +7,7 @@ import pytest
 
 from glstab import degrees
 from glstab import partitions as pt
+from glstab.branching import count_zigzag
 from glstab.degrees import (
     cuspidal_count,
     degree_poly,
@@ -17,7 +18,7 @@ from glstab.degrees import (
     vic_hom_count,
 )
 from glstab.errors import BadParameters, GuardExceeded, InvariantViolated
-from glstab.labels import enumerate_shapes, make_shape
+from glstab.labels import enumerate_shapes, make_shape, trivial_label
 from glstab.verification import sum_degree_squares_check
 
 def test_prime_power():
@@ -32,6 +33,20 @@ def test_prime_power():
     for bad in (0, 1, 6, 12, 100, (2**31 - 1) * 2147483629, 3825123056546413051, 2**64, 2.0, "2"):
         with pytest.raises(BadParameters):
             prime_power(bad)
+
+
+def test_cached_prime_power_still_refuses_what_is_no_integer():
+    """A cached answer for 4 is never served to 4.0 or True, nor to a q that cannot be
+    a cache key: each is refused by the integer rule or as no prime power, as before
+    the cache."""
+    assert prime_power(4) == (2, 2)
+    for bad, message in [(4.0, "q must be an integer, got 4.0"), (True, "True is not a prime power"),
+                         ([4], "q must be an integer, got [4]")]:
+        with pytest.raises(BadParameters) as refused:
+            prime_power(bad)
+        assert str(refused.value) == message
+    with pytest.raises(BadParameters, match="q must be an integer, got 4.0"):
+        count_zigzag(trivial_label(1), trivial_label(2), 1, 4.0)
 
 
 def test_prime_power_matches_trial_division():

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from glstab import partitions as pt
-from glstab.errors import BadParameters, GuardExceeded, InvariantViolated
+from glstab.errors import BadParameters, GuardExceeded, InvariantViolated, integer
 from glstab.labels import (
     IOTA,
     Label,
@@ -346,3 +346,110 @@ def test_parse_shape_bounds_the_norm_before_expanding_counts():
 
 def test_parse_shape_accepts_iota_spellings():
     assert parse_shape("iota:(2)") == parse_shape("i:(2)")
+
+
+def as_partition_reference(rows):
+    """partitions.as_partition with its checks written row by row: the integer rule on
+    each row, trailing zeros dropped, then no row below 1, then no row above the one
+    before it."""
+    rows = tuple(integer("a row", r) for r in rows)
+    while rows and rows[-1] == 0:
+        rows = rows[:-1]
+    if any(r < 1 for r in rows):
+        raise BadParameters(f"negative or interior-zero row in {rows}")
+    if any(rows[i] < rows[i + 1] for i in range(len(rows) - 1)):
+        raise BadParameters(f"rows not weakly decreasing: {rows}")
+    return rows
+
+
+def label_entries_reference(mapping):
+    """Label(mapping).entries with its checks written out: keys checked, rows through
+    as_partition_reference, entries sorted by (kind rank, degree, token), a clash of
+    tokens that do not compare named, duplicate keys refused."""
+    rank = {"iota": 0, "named": 1, "anon": 2}
+
+    def unordered(a, b):
+        try:
+            sorted((a, b))
+        except TypeError:
+            return True
+        return False
+
+    cleaned = []
+    for key, rows in mapping.items() if hasattr(mapping, "items") else mapping:
+        kind, degree, _tag = key
+        if kind not in rank or degree < 1 or (kind == "iota" and key != IOTA):
+            raise BadParameters(f"bad cuspidal key {key!r}")
+        rows = as_partition_reference(rows)
+        if rows:
+            cleaned.append((key, rows))
+    try:
+        cleaned.sort(key=lambda kv: (rank[kv[0][0]], kv[0][1], kv[0][2]))
+    except TypeError:
+        clash = ", ".join(sorted({repr(k) for k, _ in cleaned for j, _ in cleaned
+                                  if k[:2] == j[:2] and unordered(k[2], j[2])}))
+        raise BadParameters(f"cuspidal keys with tokens that do not compare: {clash}") from None
+    keys = [k for k, _ in cleaned]
+    if len(set(keys)) != len(keys):
+        raise BadParameters("duplicate cuspidal key")
+    return tuple(cleaned)
+
+
+def _outcome(fn, make):
+    """fn's value on a fresh make(), or the type and message of what it raised."""
+    try:
+        return "value", fn(make())
+    except Exception as exc:  # noqa: BLE001 - the refusal itself is compared
+        return type(exc), str(exc)
+
+
+row_values = st.one_of(
+    st.integers(-2, 6), st.just(0), st.booleans(), st.sampled_from([2.0, 1.5, -0.0, "2", "a", None]),
+    st.floats(allow_nan=False),
+)
+# valid rows with trailing zeros, increasing pairs, and rows of every kind of value
+row_lists = st.one_of(
+    st.tuples(partitions, st.integers(0, 2)).map(lambda t: list(t[0]) + [0] * t[1]),
+    st.tuples(st.integers(-1, 4), st.integers(1, 3)).map(lambda t: [t[0], t[0] + t[1]]),
+    st.lists(row_values, max_size=5),
+)
+# how the rows are handed over: a fresh tuple, list or generator on each call
+containers = st.sampled_from([tuple, list, lambda rows: (r for r in rows)])
+
+
+@settings(max_examples=400)
+@given(row_lists, containers)
+@example([3, 1, 0, 0], tuple)
+@example([True, True, 0], list)
+@example([2, 0, 1], tuple)
+@example([1, 2.0], list)
+@example(["3"], lambda rows: (r for r in rows))
+def test_as_partition_agrees_with_the_row_by_row_reference(rows, container):
+    """The same partition, or the same exception type and message, as the row-by-row
+    checks: ints, bools, floats, strings, negatives, zeros and increasing rows, from
+    tuples, lists and generators."""
+    def make():
+        return container(rows)
+
+    assert _outcome(pt.as_partition, make) == _outcome(as_partition_reference, make)
+
+
+LABEL_KEYS = [IOTA, named_key(1, "a"), named_key(1, 0), named_key(2, "b"), anon_key(1, 0),
+              anon_key(1, 1), anon_key(2, 0), ("iota", 1, 1), ("iota", 2, 0), ("weird", 1, 0),
+              ("named", 0, "x")]
+
+
+@settings(max_examples=400)
+@given(st.lists(st.tuples(st.sampled_from(LABEL_KEYS), row_lists), max_size=4),
+       st.sampled_from([list, dict, lambda items: iter(items)]), containers)
+@example([(named_key(1, "a"), [1]), (named_key(1, 0), [1])], list, tuple)
+@example([(anon_key(1, 0), [1]), (named_key(2, "b"), [1]), (IOTA, [1])], list, tuple)
+@example([(anon_key(1, 0), [2]), (anon_key(1, 0), [1])], list, list)
+@example([(anon_key(2, 0), [1]), (IOTA, [2, 1]), (named_key(1, "a"), [1, 0])], dict, tuple)
+def test_label_agrees_with_the_written_out_reference(items, mapping, container):
+    """Label(...).entries equals the written-out reference's, or both raise the same
+    exception type and message, for mappings, lists and iterators of items."""
+    def make():
+        return mapping([(key, container(rows)) for key, rows in items])
+
+    assert _outcome(lambda m: Label(m).entries, make) == _outcome(label_entries_reference, make)
