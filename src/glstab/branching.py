@@ -34,13 +34,13 @@ interns each state once.  A walk without a target builds its own context, which
 holds no table: a move returns its dict's items, _step's dicts keep one object per
 state, and all the walk holds goes when it returns.  Walk n + 1 of a stability
 sweep takes walk n's moves a step later, but a memo across the sweep saved no
-time: the GC's scans of it cost what it saved.  A pinned walk prunes, after each
-down-move, the states that cannot reach its target, one key's rows at a time
-(_reaching, which stops at a state's first failing entry): with r up-moves left,
-_can_reach bounds each row's gap to the target's by 1 - r .. r, and a target key
-that a state lacks is empty there.  The rule is exact at r = 1 and the target is all
-named, so one up-move takes a state that passes it to the target in one way: the
-last pair builds no successor, and counts each state's paths entry by entry.
+time: the GC's scans of it cost what it saved.  A pinned walk has one prune,
+_reaching, which reads a state's entries against the target's rows, a key the state
+lacks being empty, and stops at the first that fails.  _step applies it after each
+down-move with _can_reach: with r up-moves left, each row's gap to the target's lies
+in 1 - r .. r.  The rule is exact at r = 1 and the target is all named, so one
+up-move takes a state that passes it to the target in one way: the last pair builds
+no successor, and sums _reaching's weights at r = 1 under _ways_down.
 """
 
 from __future__ import annotations
@@ -183,19 +183,11 @@ def _pin_anonymous(label: Label) -> Label:
     )
 
 
-def _descend(ctx, states, target, r):
-    """Weights after one down-move, less the states that cannot reach target (key -> rows)
-    in r up-moves."""
-    after_down = defaultdict(int)
-    for st, w in states.items():
-        for succ, c in ctx.down(st):
-            after_down[succ] += w * c
-    return after_down if target is None else dict(_reaching(after_down, target, r, _can_reach))
-
-
 def _reaching(states, target, r, ways):
-    """(state, weight times ways(rows, target rows, r) over its entries) for the states that
-    have no factor 0 and lack no target key whose first row is above r."""
+    """The pinned walk's one prune: (state, weight times ways(rows, target rows, r) over its
+    entries) for the states with no factor 0 that lack no target key whose first row is
+    above r, each read up to its first factor 0.  With _can_reach it keeps the states that
+    can reach target in r up-moves; with _ways_down at r = 1 a weight is a path count."""
     needed, want = {k for k, rows in target.items() if rows[0] > r}, target.get
     for st, w in states.items():
         missing = len(needed)
@@ -207,13 +199,6 @@ def _reaching(states, target, r, ways):
             yield st, w
 
 
-def _last_pair(states, target):
-    """Paths from states to target (key -> rows) by one down/up pair, key by key: the reach
-    rule is exact at r = 1, and one up-move takes a state that passes it to the all-named
-    target in one way, so a state's paths are the product of _ways_down over its entries."""
-    return sum(w for _, w in _reaching(states, target, 1, _ways_down))
-
-
 @lru_cache(maxsize=None)
 def _ways_down(rows, goal_rows, r):
     """The down-moves of rows after which _can_reach(x, goal_rows, r) holds."""
@@ -221,9 +206,13 @@ def _ways_down(rows, goal_rows, r):
 
 
 def _step(ctx, states, norm, target=None, r=0):
-    """Weights after one down/up pair that ends at the given norm, pruned between."""
-    after_up = defaultdict(int)
-    for st, w in _descend(ctx, states, target, r).items():
+    """Weights after one down/up pair that ends at the given norm; with a target (key ->
+    rows), only the down-successors that _reaching keeps at r take the up-move."""
+    after_down, after_up = defaultdict(int), defaultdict(int)
+    for st, w in states.items():
+        for succ, c in ctx.down(st):
+            after_down[succ] += w * c
+    for st, w in after_down.items() if target is None else _reaching(after_down, target, r, _can_reach):
         for succ, c in ctx.up(st, norm):
             after_up[succ] += w * c
     return dict(after_up)
@@ -249,7 +238,7 @@ def zigzag_distribution(start: Label, m: int, q: int, target=None):
         states = _step(ctx, states, n0 + s, goal, m - s + 1)
     if target is None:
         return states
-    paths = _last_pair(states, goal) if m else states.get(target, 0)
+    paths = sum(w for _, w in _reaching(states, goal, 1, _ways_down)) if m else states.get(target, 0)
     return {target: paths} if paths else {}
 
 

@@ -83,7 +83,7 @@ def _mobius(n) -> int:
 
 def cuspidal_count(d, q) -> int:
     """Number of cuspidals of degree d at field size q (Moebius inversion)."""
-    if d < 1:
+    if integer("degree", d) < 1:
         raise BadParameters("degree must be positive")
     total = sum(_mobius(d // e) * (q**e - 1) for e in range(1, d + 1) if d % e == 0)
     count, rem = divmod(total, d)
@@ -130,7 +130,7 @@ def degree_poly(shape, q) -> int:
 
 def vic_hom_count(m, n, q) -> int:
     """Number of (injection, complement) pairs from dimension m into n."""
-    if not 0 <= m <= n:
+    if not 0 <= integer("m", m) <= integer("n", n):
         raise BadParameters(f"need 0 <= m <= n, got m={m}, n={n}")
     return q ** (m * (n - m)) * prod(q**n - q**i for i in range(m))
 

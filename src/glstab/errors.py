@@ -17,7 +17,6 @@ class GuardExceeded(RuntimeError):
 
     def __init__(self, reason, **limits):
         super().__init__(reason)
-        self.reason = reason
         self.limits = dict(limits)
 
 

@@ -15,7 +15,7 @@ from math import factorial, perm, prod
 from typing import NamedTuple
 
 from . import partitions as pt
-from .degrees import cuspidal_count
+from .degrees import cuspidal_count, prime_power
 from .errors import BadParameters, GuardExceeded, InvariantViolated, integer
 
 IOTA = ("iota", 1, 0)
@@ -24,11 +24,11 @@ _KIND_RANK = {"iota": 0, "named": 1, "anon": 2}
 
 
 def named_key(degree, token):
-    return ("named", int(degree), token)
+    return ("named", degree, token)
 
 
 def anon_key(degree, slot):
-    return ("anon", int(degree), int(slot))
+    return ("anon", degree, integer("slot", slot))
 
 
 def key_degree(key) -> int:
@@ -58,7 +58,8 @@ class Label:
         cleaned = []
         for key, rows in items:
             kind, degree, _tag = key
-            if kind not in _KIND_RANK or degree < 1 or (kind == "iota" and key != IOTA):
+            if (kind not in _KIND_RANK or integer("degree", degree) < 1
+                    or (kind == "iota" and key != IOTA)):
                 raise BadParameters(f"bad cuspidal key {key!r}")
             rows = pt.as_partition(rows)
             if rows:
@@ -242,8 +243,7 @@ def class_size(shape: Shape, q: int) -> int:
     Distinct anonymous cuspidals of each degree are drawn without repetition
     from the pool at q; iota is excluded from the degree-1 pool.
     """
-    if integer("q", q) < 2:
-        raise BadParameters("q must be >= 2")
+    prime_power(q)
     return _class_size(tuple(shape.parts), q)
 
 

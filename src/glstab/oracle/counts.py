@@ -236,10 +236,7 @@ def double_cosets_gl(n, m, q) -> int:
 
 def weakstab_cosets(ell, m, r, q) -> int:
     """Orbits of diag(1_ell, G_r) on the morphisms from F_q^m to F_q^{ell+r}."""
-    n = ell + r
-    if not (0 <= m <= n and ell >= 0 and r >= 0):
-        raise BadParameters(f"bad parameters ell={ell}, m={m}, r={r}")
-    return len(_orbit_data(m, n, q, ell)[0])
+    return next(weakstab_sequence(ell, m, r, q))[0]
 
 
 def _grown(complements, n, q):
@@ -269,6 +266,8 @@ def weakstab_sequence(ell, m, r, q):
     embedded via g -> diag(g, 1), reach every class here (None at the first r).
     No table outlives its step: only the previous size's representatives and
     complements are kept."""
+    if not (0 <= m <= ell + r and ell >= 0 and r >= 0):
+        raise BadParameters(f"bad parameters ell={ell}, m={m}, r={r}")
     prev = onto = None
     for n in count(ell + r):
         reps, labels, lows = _orbit_data(m, n, q, ell)
@@ -296,7 +295,7 @@ def weakstab_map_surjective(ell, m, r, q) -> bool:
 def conjugacy_class_count(n, q) -> int:
     """Number of conjugation orbits on GL_n(F_q), the morphism space at m = n,
     by BFS over generator conjugations."""
-    if n < 1:
+    if integer("n", n) < 1:
         raise BadParameters("n must be >= 1")
     prime_power(q)  # refuses a q that is no prime power before q.bit_length() is read
     # |GL_n(q)| >= q**(n*(n-1)) >= 2**bits (q**i - 1 >= q**(i-1)); past 2**16 bits no

@@ -57,13 +57,13 @@ def _poly_mul_mod(a, b, p, irr):
 class Field:
     """Arithmetic tables for F_q; elements are the integers 0..q-1."""
 
-    __slots__ = ("q", "p", "k", "add", "mul", "neg", "inv")
+    __slots__ = ("q", "p", "add", "mul", "neg", "inv")
 
     def __init__(self, q):
         p, k = prime_power(q)
         if q > MAX_Q:
             raise BadParameters(f"field tables only built for q <= {MAX_Q}")
-        self.q, self.p, self.k = q, p, k
+        self.q, self.p = q, p
         irr = _MODULUS[q]
         digits = [_digits(a, p, k) for a in range(q)]
         self.add = tuple(
@@ -77,9 +77,6 @@ class Field:
         self.inv = (None,) + tuple(
             next(b for b in range(1, q) if self.mul[a][b] == 1) for a in range(1, q)
         )
-
-    def sub(self, a, b):
-        return self.add[a][self.neg[b]]
 
     def primitive_element(self):
         for a in range(2, self.q):

@@ -17,7 +17,7 @@ import glstab
 import glstab.branching as branching
 from glstab import partitions as pt
 from glstab.branching import count_zigzag, decompose_perm_module, zigzag_distribution
-from glstab.degrees import gl_order
+from glstab.degrees import cuspidal_count, gl_order, vic_hom_count
 from glstab.errors import BadParameters, InvariantViolated
 from glstab.labels import (
     IOTA,
@@ -36,7 +36,7 @@ from glstab.labels import (
     trivial_label,
     weighted_multisets,
 )
-from glstab.oracle.counts import double_cosets_gl
+from glstab.oracle.counts import conjugacy_class_count, double_cosets_gl
 from glstab.stability import empirical_stability_degree
 from test_partitions import arrow_up, row
 
@@ -349,7 +349,7 @@ small_labels = st.builds(
 
 
 def can_reach_reference(state: tuple, goal: dict, r: int) -> bool:
-    """Reference for the reach rule of _descend, one state at a time: with r up-moves
+    """Reference for the reach rule of _step's prune, one state at a time: with r up-moves
     and r - 1 down-moves left, the goal's row minus the state's lies in 1 - r .. r on
     every row of every key (a key outside a support is empty)."""
     left = dict(goal)
@@ -360,9 +360,18 @@ def can_reach_reference(state: tuple, goal: dict, r: int) -> bool:
     ) and all(rows[0] <= r for rows in left.values())
 
 
+def _after_down(ctx, states):
+    """Weights after one down-move of states, each of weight 1."""
+    after_down = Counter()
+    for state in set(states):
+        for succ, c in ctx.down(state):
+            after_down[succ] += c
+    return after_down
+
+
 def _kept(ctx, states, goal, r):
-    """The states that _descend keeps of the down-moves of states."""
-    return set(branching._descend(ctx, dict.fromkeys(states, 1), goal, r))
+    """The states that _reaching keeps of the down-moves of states."""
+    return set(dict(branching._reaching(_after_down(ctx, states), goal, r, branching._can_reach)))
 
 
 @given(small_labels, small_labels, st.integers(1, 4))
@@ -411,16 +420,12 @@ reach_states = st.builds(
 @example([((IOTA, (1,)),)], {IOTA: (1,), named_key(1, "c"): (2,)}, 1)
 @example([((("anon", 1), (1,)), (("anon", 1), (1,)), (IOTA, (2,)))], {IOTA: (2, 1)}, 2)
 def test_descend_keeps_what_the_reference_rule_keeps(states, goal, r):
-    """_descend's per-row rule and its set of needed goal keys keep exactly the weighted
-    down-successors that can_reach_reference keeps, with repeated anonymous entries
-    and goal keys that a state lacks."""
-    ctx = branching._Ctx(2, ())
-    after_down = Counter()
-    for state in set(states):
-        for succ, c in ctx.down(state):
-            after_down[succ] += c
+    """_reaching under _can_reach, its per-row rule and its set of needed goal keys, keeps
+    exactly the weighted down-successors that can_reach_reference keeps, with repeated
+    anonymous entries and goal keys that a state lacks."""
+    after_down = _after_down(branching._Ctx(2, ()), states)
     expected = {succ: w for succ, w in after_down.items() if can_reach_reference(succ, goal, r)}
-    assert branching._descend(ctx, dict.fromkeys(states, 1), goal, r) == expected
+    assert dict(branching._reaching(after_down, goal, r, branching._can_reach)) == expected
 
 
 @given(
@@ -431,15 +436,15 @@ def test_descend_keeps_what_the_reference_rule_keeps(states, goal, r):
 @example([(((IOTA, (2,)),), 1)], {IOTA: (2,), named_key(1, "c"): (2,)})
 @example([(((("anon", 1), (1,)), (("anon", 1), (1,)), (IOTA, (2,))), 2)], {IOTA: (2,)})
 def test_last_pair_counts_what_the_reference_rule_keeps(weighted, goal):
-    """_last_pair's product over entries is the total weight of the down-successors that
-    can_reach_reference keeps at r = 1, with repeated anonymous entries and goal keys
-    that a state lacks."""
+    """The last pair's sum of _reaching's products of _ways_down over entries is the total
+    weight of the down-successors that can_reach_reference keeps at r = 1, with repeated
+    anonymous entries and goal keys that a state lacks."""
     states = dict(weighted)
     ctx = branching._Ctx(2, ())
     kept = 0
     for state, w in states.items():
         kept += sum(w * c for succ, c in ctx.down(state) if can_reach_reference(succ, goal, 1))
-    assert branching._last_pair(states, goal) == kept
+    assert sum(w for _, w in branching._reaching(states, goal, 1, branching._ways_down)) == kept
 
 
 def test_reaching_stops_at_a_states_first_failing_entry():
@@ -649,11 +654,20 @@ def test_fresh_columns_refuse_an_over_used_pool(q, used, budget):
     lambda: empirical_stability_degree(1.0, 2, 4),
     lambda: make_shape((), [(1.5, (1,))]),
     lambda: make_shape((2.0,), ()),
+    lambda: Label({("named", 1.5, "a"): (1,)}),
+    lambda: Label({named_key(2.7, "a"): (1,)}),
+    lambda: anon_key(1, 0.5),
+    lambda: conjugacy_class_count(2.5, 2),
+    lambda: vic_hom_count(1.5, 3, 2),
+    lambda: gl_order(2.5, 2),
+    lambda: cuspidal_count(2.5, 2),
 ], ids=["trivial_label", "decompose-3.5", "decompose-3.0", "double_cosets-n", "double_cosets-m",
-        "count_zigzag", "stability", "make_shape-degree", "make_shape-row"])
+        "count_zigzag", "stability", "make_shape-degree", "make_shape-row", "Label-degree",
+        "named_key", "anon_key-slot", "conjugacy_class_count", "vic_hom_count", "gl_order",
+        "cuspidal_count"])
 def test_non_integer_sizes_are_refused(call):
-    """A size, step count, degree or row that is not an int is refused by the rule that
-    refuses such a q, not truncated and not answered."""
+    """A size, step count, degree, slot or row that is not an int is refused by the rule
+    that refuses such a q, not truncated and not answered."""
     with pytest.raises(BadParameters, match="must be an integer"):
         call()
 
@@ -811,14 +825,13 @@ def test_target_pruning_drops_no_path(monkeypatch):
     """count_zigzag equals the target's weight in the unpruned pinned walk on every
     pair of shape representatives with norms ell <= 2 and m <= 3, and it checks
     reachability only while up-moves are left."""
-    descend, ups_left = branching._descend, []
+    reaching, ups_left = branching._reaching, []
 
-    def recorded(ctx, states, goal, r):
-        if goal is not None:
-            ups_left.append(r)
-        return descend(ctx, states, goal, r)
+    def recorded(states, goal, r, ways):
+        ups_left.append(r)
+        return reaching(states, goal, r, ways)
 
-    monkeypatch.setattr(branching, "_descend", recorded)
+    monkeypatch.setattr(branching, "_reaching", recorded)
     pairs, bad = 0, []
     for q in (2, 3):
         for ell in range(3):

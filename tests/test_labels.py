@@ -267,6 +267,16 @@ def test_class_size_known_values():
     assert class_size(make_shape((), [(2, (1,)), (2, (1,))]), 2) == 0
 
 
+def test_class_size_takes_q_by_the_prime_power_rule():
+    """class_size, and the census built on it, refuse a q that is no prime power with
+    prime_power's reason: 6 is not counted, and 1 has the one message of every q."""
+    for q in (6, 1):
+        with pytest.raises(BadParameters, match=f"^{q} is not a prime power$"):
+            class_size(make_shape((), [(1, (1,))]), q)
+        with pytest.raises(BadParameters, match=f"^{q} is not a prime power$"):
+            enumerate_labels(2, q)
+
+
 def _brute_draws(parts, q, used):
     """Injective assignments of parts to cuspidals, up to permuting equal parts."""
     choices = [[(d, c) for c in range(pool_size(d, q) - used)] for d, _ in parts]

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 import glstab
 import glstab.oracle.counts as counts
 from glstab.degrees import gl_order, vic_hom_count
-from glstab.errors import GuardExceeded, InvariantViolated
+from glstab.errors import BadParameters, GuardExceeded, InvariantViolated
 from glstab.oracle.counts import (
     _embed,
     _generators,
@@ -29,6 +29,7 @@ from glstab.oracle.counts import (
     double_cosets_gl,
     weakstab_cosets,
     weakstab_map_surjective,
+    weakstab_sequence,
 )
 from glstab.oracle.fields import MAX_Q, field
 from glstab.oracle.orbits import NOT_A_POINT, orbit_partition
@@ -484,6 +485,16 @@ def test_weakstab_surjectivity_threshold():
     assert weakstab_map_surjective(1, 1, 3, 2)
     # below the threshold s = 2 the answer is computed all the same
     assert weakstab_map_surjective(1, 1, 1, 2) is False
+
+
+@pytest.mark.parametrize("call", [weakstab_map_surjective, lambda *args: next(weakstab_sequence(*args))],
+                         ids=["weakstab_map_surjective", "weakstab_sequence"])
+@pytest.mark.parametrize("ell,m,r", [(-1, 1, 2), (3, 1, -1), (1, 2, 0)])
+def test_weakstab_parameters_are_refused_by_one_check(call, ell, m, r):
+    """Every weakstab entry refuses a negative ell or r, or m above ell + r, with
+    weakstab_cosets' reason, before any space is built."""
+    with pytest.raises(BadParameters, match=rf"^bad parameters ell={ell}, m={m}, r={r}$"):
+        call(ell, m, r, 2)
 
 
 @pytest.mark.parametrize(

@@ -5,9 +5,10 @@ import pytest
 from glstab.branching import (
     Decomposition,
     DecompositionEntry,
-    _descend,
+    _can_reach,
     _new_context,
     _pin_anonymous,
+    _reaching,
     decompose_perm_module,
 )
 from glstab.errors import BadParameters
@@ -119,7 +120,7 @@ def margin_walk(m, q, tail, n):
     states, visited, holds = {canonical(nu)}, 0, True
     for s in range(1, m + 1):
         after_down = {succ for st in states for succ, _ in ctx.down(st)}
-        kept = _descend(ctx, dict.fromkeys(states, 1), goal, m - s + 1)
+        kept = [st for st, _ in _reaching(dict.fromkeys(after_down, 1), goal, m - s + 1, _can_reach)]
         if s < m:
             states = {succ for st in kept for succ, _ in ctx.up(st, nu.norm() + s)}
         else:

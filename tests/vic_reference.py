@@ -45,7 +45,7 @@ def rref(F, mat):
         for i in range(len(rows)):
             if i != r and rows[i][c]:
                 f = rows[i][c]
-                rows[i] = [F.sub(x, F.mul[f][y]) for x, y in zip(rows[i], rows[r])]
+                rows[i] = [F.add[x][F.neg[F.mul[f][y]]] for x, y in zip(rows[i], rows[r])]
         pivots.append(c)
         r += 1
     return tuple(tuple(row) for row in rows[:r]), tuple(pivots)
