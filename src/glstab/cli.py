@@ -4,7 +4,8 @@ the acceptance suite, dimension tables, and direct oracle queries.
 Exit codes: 0 success, 1 a verification check failed or an internal
 invariant was violated, 2 usage error or a size guard refused the
 computation.  All output is byte-deterministic for a fixed invocation; big
-integers are rendered as decimal strings in JSON.
+integers are rendered as decimal strings in JSON.  Every table, CSV and JSON
+output goes through `_render`.
 """
 
 from __future__ import annotations
@@ -87,10 +88,24 @@ def _csv(headers, rows):
     return buf.getvalue()
 
 
+def _render(fmt, out, payload, headers, rows, *footer):
+    """Print payload as JSON, rows under headers as CSV, or rows as a table then footer."""
+    if fmt == "json":
+        _emit(json.dumps(payload, sort_keys=True), out)
+    elif fmt == "csv":
+        _emit(_csv(headers, rows), out)
+    else:
+        for text in (_table(headers, rows), *footer):
+            _emit(text, out)
+
+
 def cmd_decompose(args, out):
     _check_q(args.q)
     n = args.n if args.n is not None else 3 * args.m
     _check_size(args.m, n, args.q, rows=1)
+    if args.m == 0 and (2 * n - 1) * math.log10(args.q) > MAX_DIGITS:
+        # only 1s are printed, but the trivial degree takes n hook lengths: n is bounded as at m = 1
+        raise GuardExceeded("size too large", m=0, n_max=n, q=args.q, digits=MAX_DIGITS)
     # decompose_perm_module raises InvariantViolated unless the dimension identity holds
     dec = decompose_perm_module(n, args.m, args.q)
     oracle_sumsq = None
@@ -98,30 +113,16 @@ def cmd_decompose(args, out):
         try:
             oracle_sumsq = double_cosets_gl(n, args.m, args.q)
         except GuardExceeded:
-            oracle_sumsq = None
+            pass
     sumsq_ok = oracle_sumsq is None or oracle_sumsq == dec.sum_squares()
-    rows = [
-        (format_shape(e.shape), e.multiplicity, e.class_size, e.degree)
-        for e in dec.entries
-    ]
-    if args.format == "json":
-        payload = dec.to_json()
-        payload["checks"]["dimension_ok"] = True
-        payload["checks"]["oracle_sum_sq"] = (
-            "SKIPPED" if oracle_sumsq is None else str(oracle_sumsq)
-        )
-        payload["checks"]["sum_sq_ok"] = sumsq_ok
-        _emit(json.dumps(payload, sort_keys=True), out)
-    elif args.format == "csv":
-        _emit(_csv(["shape", "multiplicity", "class_size", "degree"], rows), out)
-    else:
-        _emit(_table(["shape", "multiplicity", "class_size", "degree"], rows), out)
-        _emit(f"sum_sq={dec.sum_squares()} dim={dec.dimension()}", out)
-        _emit(
-            "checks: dimension ok, oracle sum-of-squares "
-            + ("SKIPPED" if oracle_sumsq is None else ("ok" if sumsq_ok else "FAILED")),
-            out,
-        )
+    payload = dec.to_json()
+    payload["checks"].update(dimension_ok=True, sum_sq_ok=sumsq_ok,
+                             oracle_sum_sq="SKIPPED" if oracle_sumsq is None else str(oracle_sumsq))
+    rows = [(format_shape(e.shape), e.multiplicity, e.class_size, e.degree) for e in dec.entries]
+    oracle = "SKIPPED" if oracle_sumsq is None else ("ok" if sumsq_ok else "FAILED")
+    _render(args.format, out, payload, ["shape", "multiplicity", "class_size", "degree"], rows,
+            f"sum_sq={dec.sum_squares()} dim={dec.dimension()}",
+            f"checks: dimension ok, oracle sum-of-squares {oracle}")
     return OK if sumsq_ok else CHECK_FAILURE
 
 
@@ -129,24 +130,13 @@ def cmd_stability(args, out):
     _check_q(args.q)
     _check_size(args.m, args.n_max, args.q, rows=args.n_max - args.m + 1)
     report = empirical_stability_degree(args.m, args.q, args.n_max)
-    if args.format == "json":
-        _emit(json.dumps(report.to_json(), sort_keys=True), out)
-    else:
-        decs = report.decompositions
-        sizes = sorted(decs)
-        mults = [{e.shape: e.multiplicity for e in decs[n].entries} for n in sizes]
-        shapes = sorted(set().union(*mults), key=lambda s: s.sort_key())
-        rows = [[format_shape(s)] + [mp.get(s, 0) for mp in mults] for s in shapes]
-        headers = ["shape"] + [f"n={n}" for n in sizes]
-        if args.format == "csv":
-            _emit(_csv(headers, rows), out)
-        else:
-            _emit(_table(headers, rows), out)
-            _emit(
-                f"observed stability degree {report.observed_stability_degree}"
-                f" (bound 3m = {3 * args.m})",
-                out,
-            )
+    sizes = sorted(report.decompositions)
+    mults = [{e.shape: e.multiplicity for e in report.decompositions[n].entries} for n in sizes]
+    shapes = sorted(set().union(*mults), key=lambda s: s.sort_key())
+    rows = [[format_shape(s)] + [mp.get(s, 0) for mp in mults] for s in shapes]
+    _render(args.format, out, report.to_json(), ["shape"] + [f"n={n}" for n in sizes], rows,
+            f"observed stability degree {report.observed_stability_degree}"
+            f" (bound 3m = {3 * args.m})")
     return OK if report.bound_satisfied else CHECK_FAILURE
 
 
@@ -159,11 +149,9 @@ def cmd_zigzag(args, out):
 
 def cmd_verify(args, out):
     results = run_suite(suite=args.suite, quick=args.quick)
-    failed = False
     for r in results:
-        _emit(json.dumps(r.to_json(), sort_keys=True), out)
-        failed = failed or r.status == "FAIL"
-    return CHECK_FAILURE if failed else OK
+        _emit(json.dumps(r._asdict(), sort_keys=True), out)
+    return CHECK_FAILURE if any(r.status == "FAIL" for r in results) else OK
 
 
 def cmd_dims(args, out):
@@ -180,21 +168,11 @@ def cmd_dims(args, out):
             except GuardExceeded:
                 pass
         rows.append((n, str(poly_value(poly, args.q**n)), str(count), oracle))
-    if args.format == "json":
-        coeffs = {str(e): f"{c.numerator}/{c.denominator}" for e, c in poly.items()}
-        payload = {
-            "m": args.m,
-            "q": args.q,
-            "polynomial": {"coeffs": coeffs},
-            "rows": [
-                {"n": n, "p_value": p, "count": c, "oracle": o} for n, p, c, o in rows
-            ],
-        }
-        _emit(json.dumps(payload, sort_keys=True), out)
-    elif args.format == "csv":
-        _emit(_csv(["n", "p_value", "count", "oracle"], rows), out)
-    else:
-        _emit(_table(["n", "P(q^n)", "count", "oracle"], rows), out)
+    coeffs = {str(e): f"{c.numerator}/{c.denominator}" for e, c in poly.items()}
+    payload = {"m": args.m, "q": args.q, "polynomial": {"coeffs": coeffs},
+               "rows": [{"n": n, "p_value": p, "count": c, "oracle": o} for n, p, c, o in rows]}
+    p_header = "p_value" if args.format == "csv" else "P(q^n)"
+    _render(args.format, out, payload, ["n", p_header, "count", "oracle"], rows)
     return OK
 
 

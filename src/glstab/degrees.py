@@ -62,7 +62,7 @@ def _prime_power(q):
 
 
 def gl_order(n, q) -> int:
-    return vic_hom_count(n, n, q)
+    return vic_hom_count(integer("n", n), n, q)
 
 
 def _mobius(n) -> int:

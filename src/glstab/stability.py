@@ -21,8 +21,8 @@ class StabilityReport(NamedTuple):
     q: int
     n_max: int
     decompositions: dict  # n -> Decomposition
-    observed_stability_degree: int = 0
-    bound_satisfied: bool = True
+    observed_stability_degree: int
+    bound_satisfied: bool
 
     def to_json(self) -> dict:
         return {

@@ -43,9 +43,6 @@ class CheckResult(NamedTuple):
     status: str
     detail: str
 
-    def to_json(self) -> dict:
-        return self._asdict()
-
 
 def _result(criterion, name, ok, detail=""):
     return CheckResult(criterion, name, PASS if ok else FAIL, detail)

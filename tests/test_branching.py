@@ -644,31 +644,32 @@ def test_fresh_columns_refuse_an_over_used_pool(q, used, budget):
         branching._fresh_columns(q, used, budget)
 
 
-@pytest.mark.parametrize("call", [
-    lambda: trivial_label(2.5),
-    lambda: decompose_perm_module(3.5, 1, 2),
-    lambda: decompose_perm_module(3.0, 1, 2),
-    lambda: double_cosets_gl(3.0, 1, 2),
-    lambda: double_cosets_gl(3, 1.0, 2),
-    lambda: count_zigzag(trivial_label(2), trivial_label(3), 1.0, 2),
-    lambda: empirical_stability_degree(1.0, 2, 4),
-    lambda: make_shape((), [(1.5, (1,))]),
-    lambda: make_shape((2.0,), ()),
-    lambda: Label({("named", 1.5, "a"): (1,)}),
-    lambda: Label({named_key(2.7, "a"): (1,)}),
-    lambda: anon_key(1, 0.5),
-    lambda: conjugacy_class_count(2.5, 2),
-    lambda: vic_hom_count(1.5, 3, 2),
-    lambda: gl_order(2.5, 2),
-    lambda: cuspidal_count(2.5, 2),
+@pytest.mark.parametrize("param,call", [
+    ("n", lambda: trivial_label(2.5)),
+    ("n", lambda: decompose_perm_module(3.5, 1, 2)),
+    ("n", lambda: decompose_perm_module(3.0, 1, 2)),
+    ("n", lambda: double_cosets_gl(3.0, 1, 2)),
+    ("m", lambda: double_cosets_gl(3, 1.0, 2)),
+    ("m", lambda: count_zigzag(trivial_label(2), trivial_label(3), 1.0, 2)),
+    ("m", lambda: empirical_stability_degree(1.0, 2, 4)),
+    ("degree", lambda: make_shape((), [(1.5, (1,))])),
+    ("a row", lambda: make_shape((2.0,), ())),
+    ("degree", lambda: Label({("named", 1.5, "a"): (1,)})),
+    ("degree", lambda: Label({named_key(2.7, "a"): (1,)})),
+    ("slot", lambda: anon_key(1, 0.5)),
+    ("n", lambda: conjugacy_class_count(2.5, 2)),
+    ("m", lambda: vic_hom_count(1.5, 3, 2)),
+    ("n", lambda: gl_order(2.5, 2)),
+    ("degree", lambda: cuspidal_count(2.5, 2)),
 ], ids=["trivial_label", "decompose-3.5", "decompose-3.0", "double_cosets-n", "double_cosets-m",
         "count_zigzag", "stability", "make_shape-degree", "make_shape-row", "Label-degree",
         "named_key", "anon_key-slot", "conjugacy_class_count", "vic_hom_count", "gl_order",
         "cuspidal_count"])
-def test_non_integer_sizes_are_refused(call):
+def test_non_integer_sizes_are_refused(param, call):
     """A size, step count, degree, slot or row that is not an int is refused by the rule
-    that refuses such a q, not truncated and not answered."""
-    with pytest.raises(BadParameters, match="must be an integer"):
+    that refuses such a q, not truncated and not answered, in a message that names the
+    parameter of the function called."""
+    with pytest.raises(BadParameters, match=f"^{param} must be an integer"):
         call()
 
 

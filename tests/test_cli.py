@@ -5,11 +5,13 @@ import json
 import os
 import subprocess
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import glstab
 import glstab.branching
+import glstab.cli
 from glstab.cli import main
 
 
@@ -206,6 +208,24 @@ def test_invariant_violation_exits_1(monkeypatch):
     assert json.loads(err.getvalue())["error"] == "invariant_violated"
 
 
+def test_decompose_oracle_mismatch_exits_1(monkeypatch):
+    """An oracle sum of squares that differs from the DP's is reported in every format,
+    with exit 1: FAILED in the table's last line, false and the oracle's value in JSON."""
+    dp = glstab.branching.decompose_perm_module(3, 1, 2).sum_squares()
+    monkeypatch.setattr(glstab.cli, "double_cosets_gl", lambda n, m, q: dp + 1)
+    argv = ["decompose", "--m", "1", "--q", "2", "--format"]
+    code, out = run_cli([*argv, "table"])
+    assert code == 1
+    assert out.splitlines()[-1] == "checks: dimension ok, oracle sum-of-squares FAILED"
+    code, out = run_cli([*argv, "json"])
+    assert code == 1
+    checks = json.loads(out)["checks"]
+    assert (checks["sum_sq_ok"], checks["oracle_sum_sq"]) == (False, str(dp + 1))
+    code, out = run_cli([*argv, "csv"])
+    assert code == 1
+    assert out.startswith("shape,multiplicity,class_size,degree\r\n")
+
+
 def test_large_prime_q_is_bounded():
     # 2**64 - 59 is the largest prime below 2**64, the one bound on q
     for q in (2**61 - 1, 2**64 - 59):
@@ -233,6 +253,21 @@ def test_decompose_and_stability_sizes_are_bounded():
     proc = run_module(["stability", "--m", "1", "--q", "2", "--n-max", "257"])
     assert (proc.returncode, proc.stdout) == (2, "")
     assert json.loads(proc.stderr)["error"] == "guard_exceeded"
+
+
+def test_m0_decompose_has_the_m1_size_bound():
+    """At m = 0 every printed number is 1, but the trivial degree takes n hook lengths,
+    so n has m = 1's bound, refused before any work: 10**9 exits 2 at once."""
+    for n in ("6643", "6644"):
+        assert run_cli(["decompose", "--m", "0", "--n", n, "--q", "2"])[0] == 0, n
+    for n in ("6645", "1000000000"):
+        err = io.StringIO()
+        start = time.perf_counter()
+        with redirect_stderr(err):
+            assert run_cli(["decompose", "--m", "0", "--n", n, "--q", "2"]) == (2, ""), n
+        assert time.perf_counter() - start < 1, n
+        payload = json.loads(err.getvalue())
+        assert (payload["error"], payload["limits"]["n_max"]) == ("guard_exceeded", int(n))
 
 
 def test_weakstab_guard_refuses_before_smaller_r():

@@ -14,6 +14,7 @@ from glstab.branching import (
 from glstab.errors import BadParameters
 from glstab.labels import IOTA, Label, canonical, label_of_shape, make_shape, pad, trivial_label
 from glstab.stability import (
+    StabilityReport,
     check_h_bijection,
     empirical_stability_degree,
     stable_decomposition,
@@ -43,6 +44,13 @@ def test_report_m0():
     report = empirical_stability_degree(0, 2, 3)
     assert report.observed_stability_degree == 0
     assert report.bound_satisfied
+
+
+def test_report_states_its_onset_and_bound():
+    """A report built without its observed onset and bound verdict is refused, so none
+    claims the 3m bound by default."""
+    with pytest.raises(TypeError):
+        StabilityReport(m=1, q=2, n_max=3, decompositions={})
 
 
 def test_report_m1():
