@@ -4,8 +4,10 @@ the acceptance suite, dimension tables, and direct oracle queries.
 Exit codes: 0 success, 1 a verification check failed or an internal
 invariant was violated, 2 usage error or a size guard refused the
 computation.  All output is byte-deterministic for a fixed invocation; big
-integers are rendered as decimal strings in JSON.  Every table, CSV and JSON
-output goes through `_render`.
+integers are rendered as decimal strings in JSON.  `decompose`, `stability`
+and `dims` print their table, CSV and JSON through `_render`; `zigzag` and the
+`oracle` counts print one value through `_emit_value`, `oracle weakstab` one
+per r, and `verify` one JSON line per check.
 """
 
 from __future__ import annotations

@@ -57,7 +57,10 @@ class Label:
         items = mapping.items() if hasattr(mapping, "items") else mapping
         cleaned = []
         for key, rows in items:
-            kind, degree, _tag = key
+            try:
+                kind, degree, _tag = key
+            except (TypeError, ValueError):  # no (kind, degree, tag) triple
+                kind = None
             if (kind not in _KIND_RANK or integer("degree", degree) < 1
                     or (kind == "iota" and key != IOTA)):
                 raise BadParameters(f"bad cuspidal key {key!r}")
@@ -335,19 +338,34 @@ def shape_to_json(shape: Shape) -> dict:
     return {"iota": list(shape.iota), "others": others}
 
 
+def _counted_shape(iota, parts) -> Shape:
+    """The shape of the partition iota and the (where, degree, partition, count)
+    parts, by the one rule of both readers: a count is an int >= 1, a degree is
+    >= 1 and a partition nonempty, and a norm above partitions.ENUM_BOUND raises
+    GuardExceeded before any part is repeated; `where` names a bad part."""
+    norm = sum(iota)
+    for where, d, rows, count in parts:
+        if integer("count", count) < 1 or integer("degree", d) < 1 or not rows:
+            raise BadParameters(f"need degree >= 1, a nonempty partition, count >= 1 in {where!r}")
+        norm += d * sum(rows) * count
+    if norm > pt.ENUM_BOUND:
+        raise GuardExceeded("shape norm above the enumeration bound", norm=norm, bound=pt.ENUM_BOUND)
+    repeated = [(d, rows) for _, d, rows, count in parts for _ in range(count)]
+    return Shape(iota, tuple(sorted(repeated, key=part_order)))
+
+
 def shape_from_json(data) -> Shape:
-    parts = []
-    for item in data.get("others", []):
-        parts.extend([(item["degree"], tuple(item["partition"]))] * item.get("count", 1))
-    return make_shape(tuple(data.get("iota", ())), parts)
+    """shape_to_json's inverse; a part without a count is counted once."""
+    parts = [(item, item["degree"], pt.as_partition(item["partition"]), item.get("count", 1))
+             for item in data.get("others", [])]
+    return _counted_shape(pt.as_partition(data.get("iota", ())), parts)
 
 
 def parse_shape(text: str) -> Shape:
     """Parse human syntax: 'i:(3,2); 2:(1)x1' (iota also spelled 'iota').
 
-    Iota appears at most once and takes no count; other parts need a degree
-    and a count >= 1 and a nonempty partition.  A norm above
-    partitions.ENUM_BOUND raises GuardExceeded before any part is repeated.
+    Iota appears at most once and takes no count; the other parts follow
+    _counted_shape's rule.
     """
     iota = None
     parts = []
@@ -358,16 +376,10 @@ def parse_shape(text: str) -> Shape:
             raise BadParameters(f"bad partition syntax in {piece!r}")
         body = rows[1:-1].strip()
         rows = pt.as_partition(int(v) for v in body.split(",")) if body else ()
-        count = int(mult) if x else 1
         if head in ("i", "iota", "ι"):
             if x or iota is not None:
                 raise BadParameters(f"iota takes one partition and no count: {piece!r}")
             iota = rows
-        elif count < 1 or int(head) < 1 or not rows:
-            raise BadParameters(f"need degree >= 1, a nonempty partition, count >= 1 in {piece!r}")
         else:
-            parts.append(((int(head), rows), count))
-    norm = sum(iota or ()) + sum(d * sum(rows) * count for (d, rows), count in parts)
-    if norm > pt.ENUM_BOUND:
-        raise GuardExceeded("shape norm above the enumeration bound", norm=norm, bound=pt.ENUM_BOUND)
-    return make_shape(iota or (), [part for part, count in parts for _ in range(count)])
+            parts.append((piece, int(head), rows, int(mult) if x else 1))
+    return _counted_shape(iota or (), parts)

@@ -15,10 +15,10 @@ pairs it with the injections whose image it complements, as cosets of the
 complement, and numbers each point a*w + b as it lists it: b is the index of
 its complement among the w complements, a its m map columns as base-q**n
 digits.  A generator is the matvec table folded over the m columns and the rank
-of each complement's reduced image.  No table outlives its call, and
-`weakstab_sequence`, the one caller that compares two sizes, holds only the
-previous size's representatives and complements; it embeds a number by
-re-reading its columns in base q**(n+1) and growing its complement by e_n.
+of each complement's reduced image.  No table outlives its call.
+`weakstab_sequence` reads each size on its own: the classes met from one size
+down are the labels of the points whose columns have no top digit and whose
+complement's last row is the top axis.
 
 At m = n the space is GL_n itself, with one (empty) complement, so a number is
 a matrix's n columns as base-q**n digits; `conjugacy_class_count` conjugates
@@ -32,7 +32,7 @@ from itertools import combinations, count, product
 from ..degrees import gl_order, prime_power, vic_hom_count
 from ..errors import BadParameters, GuardExceeded, InvariantViolated, integer
 from .fields import field
-from .orbits import orbit_partition
+from .orbits import NOT_A_POINT, orbit_partition
 
 VIC_SPACE_GUARD = 2**22
 # q**n, the size of each generator's matvec table.  A space from F_q^m, m >= 1, has
@@ -194,14 +194,6 @@ def _part_image(table, part, rows, S, q, F):
     return out
 
 
-def _ranks(images, rank):
-    """The rank of each image among the parts; refuses an image that is none."""
-    try:
-        return [rank[x] for x in images]
-    except KeyError as exc:
-        raise InvariantViolated(f"part image {exc.args[0]} is not a part of a point") from None
-
-
 def _orbit_data(m, n, q, ell):
     """Orbits of the block subgroup diag(1_ell, GL_{n-ell}) on the morphism space:
     the representatives as numbers, the orbit label of every number below
@@ -216,8 +208,11 @@ def _orbit_data(m, n, q, ell):
         outer = [0]  # a map's image, its columns as base-Q digits
         for _ in range(m):
             outer = [x * Q + t for x in outer for t in table]
-        inner = [_part_image(table, x, n - m, S, q, F) for x in lows]
-        actions.append(([x * w for x in outer], _ranks(inner, low_rank)))
+        try:
+            inner = [low_rank[_part_image(table, x, n - m, S, q, F)] for x in lows]
+        except KeyError as exc:
+            raise InvariantViolated(f"part image {exc.args[0]} is not a part of a point") from None
+        actions.append(([x * w for x in outer], inner))
     numbers = iter(numbers)  # the list goes once the search has marked the points
     reps, labels = orbit_partition(numbers, Q**m * w, actions)
     return reps, labels, lows
@@ -239,44 +234,29 @@ def weakstab_cosets(ell, m, r, q) -> int:
     return next(weakstab_sequence(ell, m, r, q))[0]
 
 
-def _grown(complements, n, q):
-    """Each complement key of F_q^(n-1) pushed into F_q^n: its rows moved into the
-    wider slots of size n, then the new axis e_(n-1), its pivot after all others."""
-    S0, S = (q ** (n - 1) - 1).bit_length(), (q**n - 1).bit_length()
-    mask = (1 << S0) - 1
-    return [q ** (n - 1) | sum((key >> S0 * i & mask) << S * (i + 1) for i in range(n - 1))
-            for key in complements]
-
-
-def _embed(numbers, old, new, m, n, q):
-    """Push numbers of the space from F_q^m to F_q^(n-1), whose complements are
-    `old`, forward along g -> diag(g, 1) into the one to F_q^n, complements `new`:
-    a*w + b keeps its m columns, as base-q**n digits now, and b becomes the rank
-    of complement b grown by e_(n-1); a grown key that is no complement is refused."""
-    Q0, Q, w0, w = q ** (n - 1), q**n, len(old), len(new)
-    grown = _ranks(_grown(old, n, q), {x: i for i, x in enumerate(new)})
-    for x in numbers:
-        a, b = divmod(x, w0)
-        yield w * sum(a // Q0**i % Q0 * Q**i for i in range(m)) + grown[b]
+def _from_below(labels, lows, m, n, q):
+    """The classes, under labels of size n, of the points from size n - 1 pushed
+    along g -> diag(g, 1): those whose m columns have no e_(n-1) digit and whose
+    complement holds e_(n-1), that is, whose key's last row is e_(n-1)."""
+    Q, top, w, S = q**n, q ** (n - 1), len(lows), (q**n - 1).bit_length()
+    grown = [b for b, key in enumerate(lows) if key & (1 << S) - 1 == top]
+    outer = [0]  # every a whose m columns lie in F_q^(n-1), ready to take b
+    for _ in range(m):
+        outer = [x * Q + c for x in outer for c in range(top)]
+    return {labels[a * w + b] for a in outer for b in grown} - {NOT_A_POINT}
 
 
 def weakstab_sequence(ell, m, r, q):
     """Yield (classes, onto) at r, r + 1, ...: the orbits of diag(1_ell, G_r) on the
     morphisms from F_q^m to F_q^{ell+r}, and whether the classes one size down,
     embedded via g -> diag(g, 1), reach every class here (None at the first r).
-    No table outlives its step: only the previous size's representatives and
-    complements are kept."""
+    Each size is read on its own table, which goes before the next is built."""
     if not (0 <= m <= ell + r and ell >= 0 and r >= 0):
         raise BadParameters(f"bad parameters ell={ell}, m={m}, r={r}")
-    prev = onto = None
     for n in count(ell + r):
         reps, labels, lows = _orbit_data(m, n, q, ell)
-        if prev is not None:
-            hit = {labels[y] for y in _embed(*prev, lows, m, n, q)}
-            if min(hit) < 0:
-                raise InvariantViolated(f"a class embeds as no point of ({m},{n},{q})")
-            onto = len(hit) == len(reps)
-        prev, labels = (reps, lows), None  # drop the orbit table
+        onto = None if n == ell + r else len(_from_below(labels, lows, m, n, q)) == len(reps)
+        labels = None  # drop the orbit table
         yield len(reps), onto
 
 

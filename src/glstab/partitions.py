@@ -21,7 +21,11 @@ ENUM_BOUND = 60
 
 def as_partition(rows) -> tuple:
     """Canonicalize an iterable of int row lengths (errors.integer), dropping trailing zeros."""
-    if not set(map(type, rows := tuple(rows))) <= {int}:  # else errors.integer, row by row
+    try:
+        rows = tuple(rows)
+    except TypeError:
+        raise BadParameters(f"rows must be an iterable of row lengths, got {rows!r}") from None
+    if not set(map(type, rows)) <= {int}:  # else errors.integer, row by row
         rows = tuple(integer("a row", r) for r in rows)
     while rows and rows[-1] == 0:
         rows = rows[:-1]

@@ -319,11 +319,13 @@ def test_action_leaving_the_space_exits_1(monkeypatch):
 
 
 def test_bad_embedding_exits_1(monkeypatch):
-    """A representative embedded outside the next size's points is an invariant
-    violation, reported as JSON, not a KeyError traceback."""
+    """A weak-stabilization size whose action sends a complement to a key that is
+    no complement is an invariant violation, reported as JSON, not a KeyError
+    traceback."""
     import glstab.oracle.counts as counts
 
-    monkeypatch.setattr(counts, "_grown", lambda complements, n, q: [-1] * len(complements))
+    # a key shifted up one slot ends in an empty row, which no complement's key does
+    monkeypatch.setattr(counts, "_part_image", lambda table, part, rows, S, q, F: part << S)
     err = io.StringIO()
     with redirect_stderr(err):
         code, out = run_cli(["verify", "--suite", "weakstab"])

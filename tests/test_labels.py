@@ -68,6 +68,24 @@ def test_label_rejects_bad_keys():
         Label({("weird", 1, 0): (1,)})
 
 
+@pytest.mark.parametrize("make", [
+    lambda: Label({("anon", 1): (1,)}),  # a DP state's slot-free key
+    lambda: Label({5: (1,)}),
+    lambda: Label({"ab": (1,)}),
+    lambda: Label([(("named", 1, 0, 0), (1,))]),
+], ids=["slot-free", "int", "str", "four-tuple"])
+def test_label_refuses_a_key_that_is_no_triple(make):
+    with pytest.raises(BadParameters, match="^bad cuspidal key "):
+        make()
+
+
+@pytest.mark.parametrize("make", [lambda: Label({IOTA: 3}), lambda: pt.as_partition(3),
+                                  lambda: make_shape(3)], ids=["Label", "as_partition", "make_shape"])
+def test_rows_that_are_no_iterable_are_refused(make):
+    with pytest.raises(BadParameters, match="^rows must be an iterable of row lengths, got 3$"):
+        make()
+
+
 def test_label_refuses_tokens_that_do_not_compare():
     """Two named tokens of one degree that cannot be ordered are a bad key pair,
     named in the refusal; tokens of other degrees may differ in type."""
@@ -320,6 +338,23 @@ def test_census_matches_conjugacy_classes():
 def test_shape_json_round_trip():
     shape = make_shape((3, 1), [(2, (1,)), (1, (2,)), (1, (2,))])
     assert shape_from_json(shape_to_json(shape)) == shape
+    # a part without a count is counted once
+    assert shape_from_json({"others": [{"degree": 3, "partition": [2, 1]}]}) == make_shape((), [(3, (2, 1))])
+
+
+@pytest.mark.parametrize("part,error", [
+    ({"count": 0}, BadParameters), ({"count": -1}, BadParameters), ({"count": 1.0}, BadParameters),
+    ({"count": "2"}, BadParameters), ({"degree": 0}, BadParameters), ({"partition": []}, BadParameters),
+    ({"partition": 1}, BadParameters), ({"count": 10**9}, GuardExceeded),
+    ({"degree": 0, "count": 10**9}, BadParameters),
+], ids=["count-0", "count-negative", "count-float", "count-str", "degree-0", "partition-empty",
+        "partition-int", "count-huge", "degree-0-count-huge"])
+def test_shape_from_json_takes_counts_by_the_parse_rule(part, error):
+    """A JSON part's count, degree and partition follow parse_shape's rule, and a
+    huge count is refused by the norm bound before the part is repeated."""
+    item = {"degree": 1, "partition": [1], "count": 1} | part
+    with pytest.raises(error):
+        shape_from_json({"iota": [1], "others": [item]})
 
 
 def test_parse_format_round_trip():

@@ -18,7 +18,7 @@ import glstab.oracle.counts as counts
 from glstab.degrees import gl_order, vic_hom_count
 from glstab.errors import BadParameters, GuardExceeded, InvariantViolated
 from glstab.oracle.counts import (
-    _embed,
+    _from_below,
     _generators,
     _matvec_table,
     _orbit_data,
@@ -336,34 +336,22 @@ def test_known_parts_that_are_no_point_are_refused(monkeypatch):
         double_cosets_gl(3, 1, 2)
 
 
-def test_bad_embedding_is_refused(monkeypatch):
-    """A grown key that is no complement of the next size is refused, and so is
-    an embedded number that is no point."""
-    monkeypatch.setattr(counts, "_grown", lambda complements, n, q: [-1] * len(complements))
-    with pytest.raises(InvariantViolated, match="part image -1 is not a part of a point"):
-        weakstab_map_surjective(2, 1, 4, 2)
-    # the first complement listed at size n is F_q^(n-1), which holds every embedded column
-    monkeypatch.setattr(counts, "_grown", lambda keys, n, q: _space(1, n, q)[1][:1] * len(keys))
-    with pytest.raises(InvariantViolated, match=r"a class embeds as no point of \(1,7,2\)"):
-        weakstab_map_surjective(2, 1, 4, 2)
-
-
 @pytest.mark.parametrize(
     "m,n,q",
     [(0, 2, 2), (1, 2, 2), (1, 3, 2), (2, 3, 2), (2, 4, 2),
      (1, 2, 3), (1, 3, 3), (2, 3, 3), (1, 2, 4), (1, 2, 9)],
 )
 def test_packed_embedding_equals_object_embedding(m, n, q):
-    """The number embedding of weakstab_map_surjective is vic.embed on every point."""
-    numbers, old = _space(m, n, q)
-    new_numbers, new = _space(m, n + 1, q)
-    keys, S_old = decode_space(m, n, q)
-    new_keys, S_new = decode_space(m, n + 1, q)
-    morphism = {pack_vic(v, S_old): v for v in vic_morphisms(m, n, q)}
-    assert sorted(morphism) == sorted(keys)
-    key_of = dict(zip(new_numbers, new_keys))
-    for key, y in zip(keys, _embed(numbers, old, new, m, n + 1, q), strict=True):
-        assert key_of[y] == pack_vic(embed(morphism[key]), S_new), morphism[key]
+    """At size n + 1, _from_below selects exactly the points vic.embed reaches
+    from size n: labelled by their own numbers, it returns those points' numbers."""
+    numbers, lows = _space(m, n + 1, q)
+    keys, S = decode_space(m, n + 1, q)
+    labels = [NOT_A_POINT] * (q ** ((n + 1) * m) * len(lows))
+    for x in numbers:
+        labels[x] = x
+    key_of = dict(zip(numbers, keys))
+    selected = sorted(key_of[x] for x in _from_below(labels, lows, m, n + 1, q))
+    assert selected == sorted(pack_vic(embed(v), S) for v in vic_morphisms(m, n, q))
 
 
 def test_embed_matches_standard_inclusion():
@@ -499,7 +487,8 @@ def test_weakstab_parameters_are_refused_by_one_check(call, ell, m, r):
 
 @pytest.mark.parametrize(
     "ell,m,r,q,onto",
-    [(1, 1, 1, 2, False), (1, 1, 2, 2, True), (2, 1, 1, 2, False), (1, 1, 1, 3, False)],
+    [(1, 1, 1, 2, False), (1, 1, 2, 2, True), (2, 1, 1, 2, False), (1, 1, 1, 3, False),
+     (0, 2, 2, 2, True), (2, 2, 1, 2, False)],
 )
 def test_onto_flag_is_the_object_flag(ell, m, r, q, onto):
     """The onto flag, at both values, is the object one: whether the embedded
